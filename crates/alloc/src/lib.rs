@@ -24,7 +24,7 @@
 use core::alloc::Layout;
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use parking_lot::Mutex;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
 pub mod stats;
@@ -175,22 +175,40 @@ fn class_of(layout: Layout) -> Option<usize> {
     CLASSES.iter().position(|&c| c >= layout.size())
 }
 
-/// Per-thread cache of free blocks, one vec per size class.
+/// Per-thread cache of free blocks, one vec per size class, plus the
+/// slot's share of the pool counters — kept under the magazine lock the
+/// hot path already holds, so counting adds no shared write.
 #[derive(Default)]
 struct Magazine {
     classes: Vec<Vec<*mut u8>>,
+    /// Allocations served from this magazine.
+    hits: u64,
+    /// Allocations that refilled this magazine from the global lists.
+    misses: u64,
+    /// Pooled allocations minus pooled frees through this slot. A block
+    /// freed on another thread decrements that thread's slot, so one
+    /// slot may go "negative" (wrapping); the sum over slots is exact.
+    live: u64,
 }
 
 impl Magazine {
     fn new() -> Self {
         Self {
             classes: (0..CLASSES.len()).map(|_| Vec::new()).collect(),
+            ..Self::default()
         }
     }
 }
 
 // Raw block pointers are plain memory owned by the allocator's slabs.
 unsafe impl Send for Magazine {}
+
+/// One cache line (pair) per magazine, so neighbouring threads' lock
+/// words and counters never share a line. (A local copy of
+/// `nanotask_locks::CachePadded`: this crate depends on `parking_lot`
+/// alone.)
+#[repr(align(128))]
+struct Padded<T>(T);
 
 /// Global (shared) free lists + slab carver for one size class.
 #[derive(Default)]
@@ -223,23 +241,28 @@ impl Drop for Slabs {
 /// global list is empty a new [`SLAB_BYTES`] slab is carved.
 pub struct PoolAllocator {
     id: u64,
-    magazines: Box<[Mutex<Magazine>]>,
+    magazines: Box<[Padded<Mutex<Magazine>>]>,
     globals: Box<[Mutex<GlobalClass>]>,
     slabs: Mutex<Slabs>,
     max_threads: usize,
     next_slot: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
     slab_bytes: AtomicU64,
-    live: AtomicUsize,
+    /// Outstanding oversize (system passthrough) blocks; pooled blocks
+    /// are counted per magazine.
+    oversize_live: AtomicUsize,
     oversize: AtomicU64,
 }
 
+/// Pool ids start at 1, so the empty [`LAST_SLOT`] entry never matches.
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     /// Maps pool-allocator id → this thread's magazine slot.
     static THREAD_SLOTS: RefCell<HashMap<u64, usize>> = RefCell::new(HashMap::new());
+    /// `(pool id, slot)` of this thread's most recent pool: the hot path
+    /// (one pool per runtime, one runtime per worker thread) hits here
+    /// and never touches the map.
+    static LAST_SLOT: Cell<(u64, usize)> = const { Cell::new((0, 0)) };
 }
 
 impl PoolAllocator {
@@ -249,7 +272,7 @@ impl PoolAllocator {
         Self {
             id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
             magazines: (0..max_threads)
-                .map(|_| Mutex::new(Magazine::new()))
+                .map(|_| Padded(Mutex::new(Magazine::new())))
                 .collect(),
             globals: (0..CLASSES.len())
                 .map(|_| Mutex::new(GlobalClass::default()))
@@ -257,22 +280,32 @@ impl PoolAllocator {
             slabs: Mutex::new(Slabs { chunks: Vec::new() }),
             max_threads,
             next_slot: AtomicUsize::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             slab_bytes: AtomicU64::new(0),
-            live: AtomicUsize::new(0),
+            oversize_live: AtomicUsize::new(0),
             oversize: AtomicU64::new(0),
         }
     }
 
+    #[inline]
     fn slot(&self) -> usize {
-        THREAD_SLOTS.with(|s| {
+        let (id, slot) = LAST_SLOT.get();
+        if id == self.id {
+            return slot;
+        }
+        self.slot_slow()
+    }
+
+    #[cold]
+    fn slot_slow(&self) -> usize {
+        let slot = THREAD_SLOTS.with(|s| {
             *s.borrow_mut().entry(self.id).or_insert_with(|| {
                 // Wrap when more threads than slots register: correctness is
                 // preserved (magazines are locked), only locality degrades.
                 self.next_slot.fetch_add(1, Ordering::Relaxed) % self.max_threads
             })
-        })
+        });
+        LAST_SLOT.set((self.id, slot));
+        slot
     }
 
     /// Carve a fresh slab into blocks of class `ci`, pushing them onto the
@@ -311,34 +344,36 @@ impl PoolAllocator {
 
 unsafe impl RuntimeAllocator for PoolAllocator {
     fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.live.fetch_add(1, Ordering::Relaxed);
         let Some(ci) = class_of(layout) else {
             // Oversized or over-aligned: go straight to the system.
+            self.oversize_live.fetch_add(1, Ordering::Relaxed);
             self.oversize.fetch_add(1, Ordering::Relaxed);
             let p = unsafe { std::alloc::alloc(layout) };
             assert!(!p.is_null(), "system allocation failed");
             return p;
         };
         let slot = self.slot();
-        let mut mag = self.magazines[slot].lock();
-        let cls = &mut mag.classes[ci];
-        if let Some(p) = cls.pop() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let mut mag = self.magazines[slot].0.lock();
+        mag.live = mag.live.wrapping_add(1);
+        if let Some(p) = mag.classes[ci].pop() {
+            mag.hits += 1;
             return p;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        mag.misses += 1;
+        let cls = &mut mag.classes[ci];
         self.refill(ci, cls);
         cls.pop().expect("refill produced no blocks")
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        self.live.fetch_sub(1, Ordering::Relaxed);
         let Some(ci) = class_of(layout) else {
+            self.oversize_live.fetch_sub(1, Ordering::Relaxed);
             unsafe { std::alloc::dealloc(ptr, layout) };
             return;
         };
         let slot = self.slot();
-        let mut mag = self.magazines[slot].lock();
+        let mut mag = self.magazines[slot].0.lock();
+        mag.live = mag.live.wrapping_sub(1);
         let cls = &mut mag.classes[ci];
         cls.push(ptr);
         if cls.len() >= MAG_MAX {
@@ -347,11 +382,19 @@ unsafe impl RuntimeAllocator for PoolAllocator {
     }
 
     fn stats(&self) -> AllocStats {
+        let (mut hits, mut misses) = (0u64, 0u64);
+        let mut live = self.oversize_live.load(Ordering::Relaxed) as u64;
+        for m in self.magazines.iter() {
+            let m = m.0.lock();
+            hits += m.hits;
+            misses += m.misses;
+            live = live.wrapping_add(m.live);
+        }
         AllocStats {
-            pool_hits: self.hits.load(Ordering::Relaxed),
-            pool_misses: self.misses.load(Ordering::Relaxed),
+            pool_hits: hits,
+            pool_misses: misses,
             slab_bytes: self.slab_bytes.load(Ordering::Relaxed),
-            live: self.live.load(Ordering::Relaxed) as u64,
+            live,
             oversize: self.oversize.load(Ordering::Relaxed),
             // Task recycling is layered above (TaskSlab); the runtime
             // folds those counters in.
@@ -644,6 +687,66 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(pool.stats().live, 0);
+    }
+
+    #[test]
+    fn pool_counters_conserve_across_threads() {
+        // Four threads allocate; every block is freed by the *next*
+        // thread, so per-magazine live shares go negative somewhere and
+        // the hit/miss tallies sit in four different magazines. The sums
+        // must still be exact.
+        const PER: usize = 3000;
+        let sizes = [24usize, 64, 200, 1000, 5000]; // 5000 B is oversize
+        let pool = Arc::new(PoolAllocator::new(4));
+        let alloc_phase: Vec<_> = (0..4)
+            .map(|_| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    (0..PER)
+                        .map(|i| {
+                            let layout =
+                                Layout::from_size_align(sizes[i % sizes.len()], 8).unwrap();
+                            (pool.alloc(layout) as usize, layout)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut blocks: Vec<_> = alloc_phase.into_iter().map(|h| h.join().unwrap()).collect();
+        blocks.rotate_left(1);
+        let free_phase: Vec<_> = blocks
+            .into_iter()
+            .map(|held| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    for (p, layout) in held {
+                        unsafe { pool.dealloc(p as *mut u8, layout) };
+                    }
+                })
+            })
+            .collect();
+        for h in free_phase {
+            h.join().unwrap();
+        }
+        let oversize = (4 * PER / sizes.len()) as u64;
+        let s = pool.stats();
+        assert_eq!(s.pool_hits + s.pool_misses, 4 * PER as u64 - oversize);
+        assert_eq!(s.oversize, oversize);
+        assert_eq!(s.live, 0);
+    }
+
+    #[test]
+    fn slot_cache_follows_pool_identity() {
+        let a = Arc::new(PoolAllocator::new(4));
+        let b = PoolAllocator::new(4);
+        let (sa, sb) = (a.slot(), b.slot());
+        for _ in 0..3 {
+            assert_eq!(a.slot(), sa, "alternating pools keep their slots");
+            assert_eq!(b.slot(), sb);
+        }
+        let a2 = Arc::clone(&a);
+        let other = std::thread::spawn(move || a2.slot()).join().unwrap();
+        assert_ne!(other, sa, "a second thread gets its own magazine");
     }
 
     #[test]

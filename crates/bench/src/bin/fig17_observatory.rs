@@ -8,7 +8,8 @@
 //!
 //! 1. **Differential** — on a replayed heat run with metrics on, the
 //!    registry snapshot must agree *field-by-field* with the legacy
-//!    views: `RunReport` (task life cycle, all eight scheduler-op
+//!    views: `RunReport` (task life cycle, wait-free dependency
+//!    deliveries, all eight scheduler-op
 //!    families, inline-successor counters, per-NUMA-node insertions) and
 //!    `ReplayReport` (iteration classification, cache, partitioning).
 //!    Both paths stay live — the structs are rebuilt from registry
@@ -82,6 +83,24 @@ fn differential_fields(rt: &Runtime, report: &ReplayReport) -> Vec<Field> {
         "nanotask_tasks_freed_total",
         c("nanotask_tasks_freed_total"),
         rr.stats.tasks_freed,
+    );
+
+    // Wait-free dependency counters (RuntimeStats::deps_deliveries).
+    let (accesses, deliveries, duplicates) = rr.stats.deps_deliveries;
+    push(
+        "nanotask_deps_accesses_total",
+        c("nanotask_deps_accesses_total"),
+        accesses,
+    );
+    push(
+        "nanotask_deps_deliveries_total",
+        c("nanotask_deps_deliveries_total"),
+        deliveries,
+    );
+    push(
+        "nanotask_deps_duplicates_total",
+        c("nanotask_deps_duplicates_total"),
+        duplicates,
     );
 
     // Scheduler operations (SchedOpStats).

@@ -1,6 +1,7 @@
 //! The `DataAccess` structure and the message/mailbox machinery of the
 //! Atomic State Machine (Listings 1–2 and Figure 2 of the paper).
 
+use core::cell::Cell;
 use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -117,18 +118,53 @@ impl Message {
     }
 }
 
+thread_local! {
+    /// This thread's message buffer between dependency operations, so a
+    /// registration or completion reuses the capacity the previous one
+    /// grew instead of allocating a fresh `Vec`.
+    static SPARE_QUEUE: Cell<Vec<Message>> = const { Cell::new(Vec::new()) };
+}
+
 /// Per-thread queue of undelivered messages (Figure 2). Plain LIFO: the
 /// order of deliveries does not affect correctness (flags are monotone and
 /// rules are crossing-triggered), so the cheapest container wins.
+///
+/// The mailbox also tallies the operation's dependency-system counters
+/// in plain fields; the wait-free system flushes them into the metrics
+/// registry once per drained mailbox, so the delivery path itself never
+/// writes shared memory beyond the protocol's own `fetch_or`.
 #[derive(Default)]
 pub struct MailBox {
     queue: Vec<Message>,
+    /// Accesses registered through this mailbox since the last flush.
+    pub(crate) accesses: u64,
+    /// Non-duplicate deliveries since the last flush.
+    pub(crate) deliveries: u64,
+    /// Duplicate deliveries (no flag bit changed) since the last flush.
+    pub(crate) duplicates: u64,
 }
 
 impl MailBox {
-    /// Create an empty mailbox.
+    /// Create an empty mailbox with a fresh buffer.
     pub fn new() -> Self {
-        Self { queue: Vec::new() }
+        Self::default()
+    }
+
+    /// An empty mailbox on this thread's reused buffer. Hand it back with
+    /// [`MailBox::recycle`] once drained. A nested operation on the same
+    /// thread (none exist today) would simply start on a fresh buffer.
+    pub(crate) fn reuse() -> Self {
+        Self {
+            queue: SPARE_QUEUE.take(),
+            ..Self::default()
+        }
+    }
+
+    /// Return a drained mailbox's buffer to this thread for the next
+    /// [`MailBox::reuse`].
+    pub(crate) fn recycle(self) {
+        debug_assert!(self.queue.is_empty(), "recycling an undrained mailbox");
+        SPARE_QUEUE.set(self.queue);
     }
 
     /// Enqueue a message for later delivery.
@@ -180,6 +216,21 @@ mod tests {
         assert_eq!(mb.pop().unwrap().flags_for_next, 2);
         assert_eq!(mb.pop().unwrap().flags_for_next, 1);
         assert!(mb.pop().is_none());
+    }
+
+    #[test]
+    fn reused_buffer_keeps_capacity() {
+        let mut mb = MailBox::reuse();
+        for i in 0..100 {
+            mb.push(Message::oneway(core::ptr::null_mut(), i));
+        }
+        while mb.pop().is_some() {}
+        mb.recycle();
+        let mb = MailBox::reuse();
+        assert!(mb.is_empty());
+        assert!(mb.queue.capacity() >= 100, "the thread's buffer is reused");
+        assert_eq!((mb.accesses, mb.deliveries, mb.duplicates), (0, 0, 0));
+        mb.recycle();
     }
 
     #[test]

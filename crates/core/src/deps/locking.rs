@@ -17,11 +17,12 @@
 //! shard — the contention the wait-free redesign eliminates.
 
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use super::reduction::ReductionInfo;
 use super::{AccessMode, DepHooks, DependencySystem, DepsKind};
+use crate::hash::AddrMap;
 use crate::task::Task;
 
 const SHARDS: usize = 64;
@@ -81,7 +82,9 @@ impl AddrQueue {
     }
 }
 
-type Shard = HashMap<(usize, usize), AddrQueue>;
+/// `(parent, address)` → queue, hashed like the wait-free system's bottom
+/// maps so the two dependency systems differ only in their algorithm.
+type Shard = AddrMap<(usize, usize), AddrQueue>;
 
 /// The fine-grained-locking dependency system.
 pub struct LockingDeps {
@@ -97,7 +100,9 @@ impl LockingDeps {
     /// Create the system.
     pub fn new() -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(AddrMap::default()))
+                .collect(),
         }
     }
 
@@ -329,6 +334,9 @@ mod tests {
         }
         fn nworkers(&self) -> usize {
             4
+        }
+        fn worker(&self) -> usize {
+            0
         }
         fn allocator(&self) -> &dyn RuntimeAllocator {
             &self.alloc

@@ -20,6 +20,8 @@ pub mod wait_free;
 
 use std::sync::Arc;
 
+use nanotask_obs::Registry;
+
 use crate::task::Task;
 pub use reduction::RedOp;
 use reduction::ReductionInfo;
@@ -236,6 +238,10 @@ pub unsafe trait DepHooks {
     fn edge(&self, _from: *mut Task, _to: *mut Task, _addr: usize, _kind: u8) {}
     /// Number of workers (for reduction slot sizing).
     fn nworkers(&self) -> usize;
+    /// The calling worker's id: the metrics-registry shard the
+    /// dependency system's counters flush to. Shards are single-writer,
+    /// so two threads must not call in with the same id at once.
+    fn worker(&self) -> usize;
     /// The allocator runtime objects (ASM arrays) are drawn from.
     fn allocator(&self) -> &dyn nanotask_alloc::RuntimeAllocator;
 }
@@ -301,10 +307,12 @@ pub unsafe trait DependencySystem: Send + Sync {
     }
 }
 
-/// Instantiate the dependency system of the given kind.
-pub fn make_deps(kind: DepsKind) -> Arc<dyn DependencySystem> {
+/// Instantiate the dependency system of the given kind. `registry` binds
+/// the wait-free system's `nanotask_deps_*` counters to a shared metrics
+/// registry (the runtime passes its own); `None` keeps them private.
+pub fn make_deps(kind: DepsKind, registry: Option<&Registry>) -> Arc<dyn DependencySystem> {
     match kind {
-        DepsKind::WaitFree => Arc::new(wait_free::WaitFreeDeps::new()),
+        DepsKind::WaitFree => Arc::new(wait_free::WaitFreeDeps::new().with_registry(registry)),
         DepsKind::Locking => Arc::new(locking::LockingDeps::new()),
     }
 }

@@ -40,8 +40,10 @@
 //!   delivery drops one removal reference of the owning task.
 
 use core::alloc::Layout;
-use core::sync::atomic::{AtomicU64, Ordering};
+use core::sync::atomic::Ordering;
 use std::sync::Arc;
+
+use nanotask_obs::{Counter, Registry};
 
 use super::access::{DataAccess, MailBox, Message};
 use super::flags::{self, crossed};
@@ -49,38 +51,81 @@ use super::reduction::ReductionInfo;
 use super::{AccessMode, DepHooks, DependencySystem, DepsKind};
 use crate::task::Task;
 
-/// Counters for the §2 wait-freedom evidence (`delivery_bound` test) and
-/// the dependency microbenchmarks.
-#[derive(Debug, Default)]
-pub struct WaitFreeStats {
-    /// Registered accesses.
-    pub accesses: AtomicU64,
-    /// Non-duplicate message deliveries.
-    pub deliveries: AtomicU64,
-    /// Messages that were duplicates (no bit changed).
-    pub duplicates: AtomicU64,
+/// Registry-backed counters for the §2 wait-freedom evidence
+/// (`delivery_bound` test, Lemma 2.3) and the dependency benchmarks:
+/// `nanotask_deps_{accesses,deliveries,duplicates}_total`. Each
+/// operation tallies into its [`MailBox`] and [`DepsCounters::flush`]es
+/// once, onto the calling worker's registry shard. The runtime reads
+/// the same handles for [`crate::runtime::RuntimeStats::deps_deliveries`].
+#[derive(Clone)]
+pub(crate) struct DepsCounters {
+    accesses: Counter,
+    deliveries: Counter,
+    duplicates: Counter,
+}
+
+impl DepsCounters {
+    /// The counter family registered in `reg` (get-or-create: the
+    /// runtime and its dependency system share the cells).
+    pub(crate) fn new(reg: &Registry) -> Self {
+        Self {
+            accesses: reg.counter("nanotask_deps_accesses_total"),
+            deliveries: reg.counter("nanotask_deps_deliveries_total"),
+            duplicates: reg.counter("nanotask_deps_duplicates_total"),
+        }
+    }
+
+    /// Counters over a private one-shard registry, for a dependency
+    /// system driven outside a runtime from one thread (unit tests).
+    fn detached() -> Self {
+        Self::new(&Registry::new(1))
+    }
+
+    /// Move `mb`'s tallies onto `worker`'s shard and zero them.
+    #[inline]
+    fn flush(&self, worker: usize, mb: &mut MailBox) {
+        self.accesses.add(worker, core::mem::take(&mut mb.accesses));
+        self.deliveries
+            .add(worker, core::mem::take(&mut mb.deliveries));
+        self.duplicates
+            .add(worker, core::mem::take(&mut mb.duplicates));
+    }
+
+    /// (accesses, deliveries, duplicates), aggregated over shards.
+    pub(crate) fn snapshot(&self) -> (u64, u64, u64) {
+        (
+            self.accesses.value(),
+            self.deliveries.value(),
+            self.duplicates.value(),
+        )
+    }
 }
 
 /// The wait-free dependency system.
 pub struct WaitFreeDeps {
-    stats: WaitFreeStats,
+    counters: DepsCounters,
 }
 
 impl WaitFreeDeps {
-    /// Create the system.
+    /// Create the system with private counters.
     pub fn new() -> Self {
         Self {
-            stats: WaitFreeStats::default(),
+            counters: DepsCounters::detached(),
         }
+    }
+
+    /// Bind the delivery counters to a shared metrics registry (`None`
+    /// keeps the private counters).
+    pub fn with_registry(mut self, reg: Option<&Registry>) -> Self {
+        if let Some(reg) = reg {
+            self.counters = DepsCounters::new(reg);
+        }
+        self
     }
 
     /// Delivery statistics snapshot: (accesses, deliveries, duplicates).
     pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.stats.accesses.load(Ordering::Relaxed),
-            self.stats.deliveries.load(Ordering::Relaxed),
-            self.stats.duplicates.load(Ordering::Relaxed),
-        )
+        self.counters.snapshot()
     }
 
     /// Deliver one message: a single fetch-OR plus crossing-rule
@@ -102,10 +147,10 @@ impl WaitFreeDeps {
         let old = a.flags.fetch_or(add, Ordering::AcqRel);
         let new = old | add;
         if old == new {
-            self.stats.duplicates.fetch_add(1, Ordering::Relaxed);
+            mb.duplicates += 1;
             return;
         }
-        self.stats.deliveries.fetch_add(1, Ordering::Relaxed);
+        mb.deliveries += 1;
 
         // Rule 0: poison — a predecessor's failure reached this access.
         // On blocking edges the poisoned message *is* the releasing
@@ -233,7 +278,8 @@ impl WaitFreeDeps {
         }
     }
 
-    /// Drain the mailbox to empty (the Figure 2 loop).
+    /// Drain the mailbox to empty (the Figure 2 loop), then flush its
+    /// counter tallies onto the calling worker's registry shard.
     ///
     /// # Safety
     /// Messages must target live accesses (protocol invariant).
@@ -246,6 +292,7 @@ impl WaitFreeDeps {
                 unsafe { self.deliver(m.from, m.flags_after, mb, hooks) };
             }
         }
+        self.counters.flush(hooks.worker(), mb);
     }
 
     /// Find the parent's own access (ASM) for `addr`, if declared.
@@ -281,7 +328,6 @@ unsafe impl DependencySystem for WaitFreeDeps {
         if n == 0 {
             return;
         }
-        self.stats.accesses.fetch_add(n as u64, Ordering::Relaxed);
         let alloc = hooks.allocator();
         // Invariant (not user-reachable in practice): `Layout::array`
         // only fails when `n * size_of::<DataAccess>()` overflows
@@ -299,7 +345,8 @@ unsafe impl DependencySystem for WaitFreeDeps {
         // the demand-creation site: a task only pays for a map once it
         // registers a child with accesses (leaf tasks never do).
         let bottom = unsafe { (*parent).child_bottom_or_init() };
-        let mut mb = MailBox::new();
+        let mut mb = MailBox::reuse();
+        mb.accesses = n as u64;
 
         for (i, d) in decls.iter_mut().enumerate() {
             let a_ptr = unsafe { arr.add(i) };
@@ -391,16 +438,21 @@ unsafe impl DependencySystem for WaitFreeDeps {
             }
         }
         unsafe { self.deliver_all(&mut mb, hooks) };
+        mb.recycle();
     }
 
     unsafe fn body_done(&self, task: *mut Task, hooks: &dyn DepHooks) {
         let t = unsafe { &*task };
-        let mut mb = MailBox::new();
         // Close this task's child dependency domain: the children set is
         // final (only the body creates children, and it just returned).
         // Leaf tasks never created a map — `bottom` is `None` and every
         // own access closes with NO_MORE_CHILD below.
         let bottom = unsafe { t.child_bottom_ref() };
+        if t.accesses.is_null() && bottom.is_none_or(|b| b.is_empty()) {
+            // Access-free leaf: no message to send.
+            return;
+        }
+        let mut mb = MailBox::reuse();
         for (&addr, &last) in bottom.into_iter().flatten() {
             let mut lf = flags::NO_MORE_SUCC;
             let own = unsafe { Self::parent_access(task, addr) };
@@ -441,6 +493,7 @@ unsafe impl DependencySystem for WaitFreeDeps {
             map.clear();
         }
         unsafe { self.deliver_all(&mut mb, hooks) };
+        mb.recycle();
     }
 
     unsafe fn fully_done(&self, _task: *mut Task, _hooks: &dyn DepHooks) {
@@ -512,6 +565,9 @@ mod tests {
         }
         fn nworkers(&self) -> usize {
             4
+        }
+        fn worker(&self) -> usize {
+            0
         }
         fn allocator(&self) -> &dyn RuntimeAllocator {
             &self.alloc

@@ -40,6 +40,7 @@
 
 pub mod deps;
 pub mod graph;
+pub mod hash;
 pub mod platform;
 pub mod runtime;
 pub mod sched;

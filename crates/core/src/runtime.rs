@@ -27,6 +27,7 @@ use nanotask_trace::noise::{NoiseConfig, NoiseInjector};
 use nanotask_trace::{CoreRecorder, EventKind, Trace, Tracer};
 
 use crate::deps::access::DataAccess;
+use crate::deps::wait_free::DepsCounters;
 use crate::deps::{DepHooks, DependencySystem, Deps, DepsKind, make_deps};
 use crate::graph::{EdgeKind, GraphEdge};
 use crate::platform::Platform;
@@ -741,7 +742,8 @@ pub struct RuntimeStats {
     /// Allocator counters.
     pub alloc: AllocStats,
     /// Wait-free dependency deliveries (0 under the locking system):
-    /// (accesses, deliveries, duplicates).
+    /// (accesses, deliveries, duplicates), read from the registry's
+    /// `nanotask_deps_{accesses,deliveries,duplicates}_total`.
     pub deps_deliveries: (u64, u64, u64),
 }
 
@@ -774,6 +776,9 @@ pub(crate) struct Metrics {
     pub tasks_cancelled: Counter,
     /// Stall-watchdog trips.
     pub watchdog_trips: Counter,
+    /// Wait-free dependency counters (`nanotask_deps_*`); the dependency
+    /// system flushes into the same registry cells.
+    pub deps: DepsCounters,
     /// Task-body execution time (sampled).
     pub task_exec_ns: Histogram,
     /// Ready-queue wait: scheduler hand-off → body start (sampled).
@@ -819,6 +824,7 @@ impl Metrics {
             tasks_failed: registry.counter("nanotask_tasks_failed_total"),
             tasks_cancelled: registry.counter("nanotask_tasks_cancelled_total"),
             watchdog_trips: registry.counter("nanotask_watchdog_trips_total"),
+            deps: DepsCounters::new(&registry),
             task_exec_ns: registry.histogram("nanotask_task_exec_ns"),
             queue_wait_ns: registry.histogram("nanotask_queue_wait_ns"),
             release_batch_tasks: registry.histogram("nanotask_release_batch_tasks"),
@@ -1148,6 +1154,10 @@ unsafe impl DepHooks for Hooks<'_> {
 
     fn nworkers(&self) -> usize {
         self.w.shared.cfg.workers
+    }
+
+    fn worker(&self) -> usize {
+        self.w.id
     }
 
     fn allocator(&self) -> &dyn RuntimeAllocator {
@@ -2048,7 +2058,7 @@ impl Runtime {
             cfg.pop_cache,
             Some(&metrics.registry),
         );
-        let deps = make_deps(cfg.deps);
+        let deps = make_deps(cfg.deps, Some(&metrics.registry));
         let alloc = make_allocator(cfg.alloc, cfg.workers + 1);
         // SAFETY(drop_shell): every pointer the slab retains is a fully
         // initialized (dead, reset) `Task` — `alloc_task` writes fresh
@@ -2230,20 +2240,6 @@ impl Runtime {
 
     /// Aggregate counters.
     pub fn stats(&self) -> RuntimeStats {
-        let deps_deliveries = if let DepsKind::WaitFree = self.shared.cfg.deps {
-            // Downcast through the concrete type to read its counters.
-            let any: &dyn DependencySystem = &*self.shared.deps;
-            let wf = unsafe {
-                // SAFETY: kind() == WaitFree ⇒ the concrete type is
-                // WaitFreeDeps (the factory builds no other).
-                debug_assert_eq!(any.kind(), DepsKind::WaitFree);
-                &*(any as *const dyn DependencySystem
-                    as *const crate::deps::wait_free::WaitFreeDeps)
-            };
-            wf.stats()
-        } else {
-            (0, 0, 0)
-        };
         let m = &self.shared.metrics;
         let mut alloc = self.shared.alloc.stats();
         // Fold the task-slab recycling counters into the allocator view:
@@ -2257,7 +2253,7 @@ impl Runtime {
             tasks_executed: m.tasks_executed.value(),
             tasks_freed: m.tasks_freed.value(),
             alloc,
-            deps_deliveries,
+            deps_deliveries: m.deps.snapshot(),
         }
     }
 

@@ -39,11 +39,11 @@
 
 use core::cell::UnsafeCell;
 use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::deps::AccessDecl;
 use crate::deps::access::DataAccess;
+use crate::hash::AddrMap;
 use crate::runtime::TaskCtx;
 
 /// Unique (per-runtime) task identifier.
@@ -55,8 +55,9 @@ pub type TaskBody = Box<dyn FnOnce(&TaskCtx) + Send + 'static>;
 /// Bottom map of a dependency domain: address → last access registered to
 /// that address among this task's children. Thread-confined to the task's
 /// executing thread (the *single-creator invariant*: only a task's own
-/// body creates its children, as in OmpSs-2).
-pub type BottomMap = HashMap<usize, *mut DataAccess>;
+/// body creates its children, as in OmpSs-2). Keyed by the program's own
+/// addresses, so it uses the cheap [`crate::hash::AddrHasher`].
+pub type BottomMap = AddrMap<usize, *mut DataAccess>;
 
 // --- Packed life-cycle word -----------------------------------------------
 

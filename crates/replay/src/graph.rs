@@ -28,12 +28,11 @@
 //! orders; edges touching *unknown* task ids reveal nested children
 //! linking into the recorded iteration (counted, for diagnostics).
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
 use nanotask_core::graph::{EdgeKind, GraphEdge};
+use nanotask_core::hash::AddrMap;
 use nanotask_core::task::Task;
 use nanotask_core::{AccessDecl, AccessMode, RedOp, TaskId};
 
@@ -105,41 +104,6 @@ pub struct ReplayGraph {
     slots: Vec<AtomicPtr<Task>>,
 }
 
-/// Fold-multiply hasher for the builder's address/id maps. The freeze
-/// sweep does a map probe per access; at 10^6-node graphs the default
-/// SipHash is a measurable per-node cost with no adversary to resist
-/// (addresses come from the application's own data structures).
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        // Spread the high (multiply-mixed) bits into the table-index
-        // low bits.
-        self.0.rotate_left(26)
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
 /// Sentinel for an unassigned [`AddrIndex`] dense-table slot.
 const ADDR_UNASSIGNED: u32 = u32::MAX;
 
@@ -159,7 +123,7 @@ enum AddrIndex {
         shift: u32,
         table: Vec<u32>,
     },
-    Map(FxMap<usize, u32>),
+    Map(AddrMap<usize, u32>),
 }
 
 impl AddrIndex {
@@ -171,7 +135,7 @@ impl AddrIndex {
     /// would have been, with none of its probe misses.
     fn new(min: usize, max: usize, xor: usize, accesses: usize) -> Self {
         if accesses == 0 {
-            return Self::Map(FxMap::default());
+            return Self::Map(AddrMap::default());
         }
         let shift = if xor == 0 { 0 } else { xor.trailing_zeros() };
         let table_len = ((max - min) >> shift) + 1;
@@ -182,7 +146,7 @@ impl AddrIndex {
                 table: vec![ADDR_UNASSIGNED; table_len],
             }
         } else {
-            Self::Map(FxMap::default())
+            Self::Map(AddrMap::default())
         }
     }
 
@@ -534,7 +498,7 @@ impl ReplayGraph {
                     }
                 }
             } else {
-                let ids: FxMap<TaskId, ()> = captured
+                let ids: AddrMap<TaskId, ()> = captured
                     .iter()
                     .filter_map(|c| c.id.map(|id| (id, ())))
                     .collect();
