@@ -237,11 +237,6 @@ fn differential_fields(rt: &Runtime, report: &ReplayReport) -> Vec<Field> {
         report.routed_releases,
     );
     push(
-        "nanotask_replay_frontier_rescans_total",
-        c("nanotask_replay_frontier_rescans_total"),
-        report.frontier_rescans,
-    );
-    push(
         "nanotask_replay_heap_ops_total",
         c("nanotask_replay_heap_ops_total"),
         report.heap_ops,

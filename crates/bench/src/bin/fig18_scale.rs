@@ -55,17 +55,11 @@
 //!   beyond it;
 //! * leaf tasks allocate **zero** bottom maps: at most 2 maps per run
 //!   (the root's, demand-created at record registration) no matter how
-//!   many tasks the sweep point spawns;
-//! * differential guard: chains steady-state per-iteration time under
-//!   the packed word stays within 5% of the `replay_compat` reference
-//!   path (median of interleaved per-round ratios, enforced when
-//!   `NANOTASK_REPS ≥ 2`).
+//!   many tasks the sweep point spawns.
 //!
 //! Extra knobs: `NANOTASK_WORKERS` (default: host parallelism, ≤ 4),
 //! `NANOTASK_FIG18_MAX_TASKS`, `NANOTASK_ITERS` (timesteps per point,
 //! default 3, min 3), `NANOTASK_REPS` (best-of, default 3).
-
-use std::time::Instant;
 
 use nanotask_bench::Opts;
 use nanotask_bench::json::{self, Json};
@@ -201,7 +195,7 @@ fn child_main(cfg: &RuntimeConfig, spec: &str) -> ! {
     let tasks: usize = parts[1].parse().expect("tasks");
     let iters: usize = parts[2].parse().expect("iters");
     let workers: usize = parts[3].parse().expect("workers");
-    let (report, rate, maps, _) = run_point(cfg, workers, family, tasks, iters);
+    let (report, rate, maps) = run_point(cfg, workers, family, tasks, iters);
     println!(
         "freeze_ns={} graph_bytes={} peak_task_bytes={} tasks_recycled={} rate={} maps={}",
         report.freeze_ns,
@@ -293,14 +287,12 @@ fn run_point(
     family: Family,
     tasks: usize,
     iters: usize,
-) -> (ReplayReport, f64, u64, f64) {
+) -> (ReplayReport, f64, u64) {
     let rt = Runtime::new(cfg.clone().workers(workers));
     let mut cells = vec![0.0f64; family.cells(tasks)];
     let base = SendPtr::new(cells.as_mut_ptr());
     let maps0 = bottom_maps_created();
-    let t0 = Instant::now();
     let report = rt.run_iterative(iters, move |ctx| family.spawn(ctx, base, tasks));
-    let per_iter = t0.elapsed().as_secs_f64() / iters as f64;
     let maps = bottom_maps_created() - maps0;
     report.assert_classification();
     assert_eq!(report.tasks, tasks, "{}: task count", family.name());
@@ -318,33 +310,7 @@ fn run_point(
     let late_misses = a.recycle_misses.saturating_sub(a.peak_live_tasks);
     let rate = a.recycle_hits as f64 / (a.recycle_hits + late_misses).max(1) as f64;
     assert!(a.recycle_hits > 0, "{}: no slab recycling", family.name());
-    (report, rate, maps, per_iter)
-}
-
-/// Interleaved packed-word vs `replay_compat` chains measurement:
-/// median of per-round `compat / packed` per-iteration time ratios
-/// (fig16's robustness idiom — both sides of a round share the host's
-/// throughput mode, alternating order cancels within-round drift).
-fn differential_ratio(cfg: &RuntimeConfig, workers: usize, tasks: usize, reps: usize) -> f64 {
-    let iters = 12usize;
-    let mut ratios = Vec::new();
-    for round in 0..reps.max(1) {
-        let mut secs = [0.0f64; 2]; // [packed, compat]
-        let order = if round % 2 == 0 { [0, 1] } else { [1, 0] };
-        for side in order {
-            let c = cfg.clone().workers(workers).with_replay_compat(side == 1);
-            let (_, _, _, per_iter) = run_point(&c, workers, Family::Chains, tasks, iters);
-            secs[side] = per_iter;
-        }
-        ratios.push(secs[1] / secs[0]);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let n = ratios.len();
-    if n % 2 == 1 {
-        ratios[n / 2]
-    } else {
-        (ratios[n / 2 - 1] + ratios[n / 2]) / 2.0
-    }
+    (report, rate, maps)
 }
 
 fn main() {
@@ -383,8 +349,6 @@ fn main() {
         opts.scale, opts.reps
     );
     println!("# family,tasks,freeze_ms,ns_per_task,bytes_per_task,recycle_rate,maps");
-
-    let cfg = base_cfg;
 
     let mut sizes = Vec::new();
     let mut n = 1024usize;
@@ -521,27 +485,12 @@ fn main() {
         );
     }
 
-    // Guard 4: the packed word must not regress the fig16 steady state —
-    // chains per-iteration time within 5% of the replay_compat path.
-    let diff_tasks = max_tasks.min(8192);
-    let ratio = differential_ratio(&cfg, workers, diff_tasks, opts.reps);
-    let diff_met = ratio >= 0.95;
-    if opts.reps >= 2 {
-        assert!(
-            diff_met,
-            "packed word regressed chains vs replay_compat: compat/packed = {ratio:.3} < 0.95"
-        );
-    }
     println!(
         "# near-linear freeze: <= 3.5x/single doubling, <= 2.6x/doubling compounded \
          ({growth_checked} pairs): MET"
     );
     println!("# per-task graph bytes flat within +/-16 B of each family's largest size: MET");
     println!("# post-warmup recycle rate >= 0.9 on all rows: MET");
-    println!(
-        "# chains compat/packed per-iteration ratio {ratio:.3} (floor 0.95): {}",
-        if diff_met { "MET" } else { "NOT MET" }
-    );
 
     let doc = Json::obj([
         ("figure", Json::from("fig18_scale")),
@@ -551,9 +500,6 @@ fn main() {
         ("scale", Json::from(opts.scale)),
         ("reps", Json::from(opts.reps)),
         ("growth_pairs_checked", Json::from(growth_checked)),
-        ("differential_ratio", Json::from(ratio)),
-        ("differential_met", Json::from(diff_met)),
-        ("target_met", Json::from(diff_met)),
         (
             "rows",
             Json::Arr(points.iter().map(SweepPoint::json).collect()),

@@ -276,15 +276,6 @@ pub struct RuntimeConfig {
     /// node ahead of the global policy queue. Off by default — every
     /// path is byte-identical with the knob off.
     pub replay_partitioning: bool,
-    /// Retained reference data path of the replay engine (the pre-CSR
-    /// "PR 4" steady state): node-by-node counter reset instead of the
-    /// template memcpy, the full-frontier-rescan partitioner instead of
-    /// the score heap (and no eviction-seed reuse), and no
-    /// inline-successor routing composition. Behavior is identical —
-    /// only the per-iteration cost differs. Exists for the differential
-    /// conformance suite and as the `fig16_replay_hotloop` baseline;
-    /// leave off otherwise.
-    pub replay_compat: bool,
     /// Latency histograms (task execution time, ready-queue wait,
     /// release-batch size): sampled clock reads on the hot path when on.
     /// Plain counters are registry-backed and always on regardless —
@@ -341,7 +332,6 @@ impl RuntimeConfig {
             replay_giveup_after: 8,
             replay_recheck_every: 16,
             replay_partitioning: false,
-            replay_compat: false,
             metrics: false,
             metrics_sample: 32,
             flight_every: 0,
@@ -544,14 +534,6 @@ impl RuntimeConfig {
     /// spelling the partitioning knobs use).
     pub fn with_numa_nodes(self, n: usize) -> Self {
         self.numa(n)
-    }
-
-    /// Toggle the replay engine's retained reference data path (see
-    /// [`RuntimeConfig::replay_compat`]; off by default). Differential
-    /// tests and the `fig16_replay_hotloop` baseline only.
-    pub fn with_replay_compat(mut self, on: bool) -> Self {
-        self.replay_compat = on;
-        self
     }
 
     /// Toggle the latency histograms (see [`RuntimeConfig::metrics`];
@@ -1243,10 +1225,7 @@ impl TaskCtx<'_> {
     /// if none is active). The capture handle is cached per task
     /// context, generation-stamped against [`Runtime::set_spawn_capture`];
     /// the hit path is two atomic loads plus a cell take/put — no
-    /// refcount traffic per spawn. Under `replay_compat` the pre-hot-loop
-    /// behavior is kept: the cache stays intact during the call and a
-    /// clone of the Arc is handed out per spawn (the PR 4 cost model the
-    /// `fig16_replay_hotloop` baseline measures).
+    /// refcount traffic per spawn.
     fn spawn_captured(&self, label: &'static str, priority: i32, deps: Deps, body: TaskBody) {
         let shared = &self.worker.shared;
         let generation = shared.capture_generation.load(Ordering::Acquire);
@@ -1257,15 +1236,6 @@ impl TaskCtx<'_> {
         if !cap.as_ref().is_some_and(|c| c.active()) {
             self.capture_cache.set(Some((g, cap)));
             self.spawn_internal(label, priority, deps, body, None);
-            return;
-        }
-        if shared.cfg.replay_compat {
-            let capc = Arc::clone(cap.as_ref().expect("active capture"));
-            self.capture_cache.set(Some((g, cap)));
-            if let Some((deps, body)) = capc.on_spawn(self, label, priority, deps, body) {
-                let id = self.spawn_internal(label, priority, deps, body, None);
-                capc.on_spawned(id);
-            }
             return;
         }
         {

@@ -9,7 +9,8 @@
 //! pair. To also offer the crate-wide [`RawLock`] interface (which the
 //! scheduler ablations need), the lock records the holder's node pointer
 //! internally and recycles nodes through a small thread-local pool, so
-//! `lock()`/`unlock()` work without explicit node management.
+//! `lock()`/`unlock()` work without explicit node management. The pool
+//! owns its nodes and frees them when the thread exits.
 
 use core::ptr;
 use core::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
@@ -32,23 +33,49 @@ impl Default for McsNode {
     }
 }
 
+#[cfg(test)]
+static FREED: std::sync::Mutex<Vec<usize>> = std::sync::Mutex::new(Vec::new());
+
+#[cfg(test)]
+impl Drop for McsNode {
+    fn drop(&mut self) {
+        FREED.lock().unwrap().push(self as *mut McsNode as usize);
+    }
+}
+
 thread_local! {
-    /// Recycled queue nodes. A thread needs one node per lock it holds
-    /// simultaneously; nodes are leaked once and reused forever, so the
-    /// pool size is bounded by the deepest lock nesting the thread reaches.
-    static NODE_POOL: RefCell<Vec<&'static McsNode>> = const { RefCell::new(Vec::new()) };
+    /// Recycled queue nodes, owned by the thread and freed when it
+    /// exits. A thread needs one node per lock it holds simultaneously,
+    /// so the pool size is bounded by the deepest lock nesting the thread
+    /// reaches. Boxed: a node's address must not move while another
+    /// thread's queue links to it.
+    #[allow(clippy::vec_box)]
+    static NODE_POOL: RefCell<Vec<Box<McsNode>>> = const { RefCell::new(Vec::new()) };
 }
 
-fn take_node() -> &'static McsNode {
-    NODE_POOL.with(|p| {
-        p.borrow_mut()
-            .pop()
-            .unwrap_or_else(|| Box::leak(Box::new(McsNode::default())))
-    })
+/// Take a node for one acquisition. Ownership travels with the raw
+/// pointer (through [`McsLock::holder`]) until [`recycle_node`] takes it
+/// back. A lock taken during thread-local teardown, after the pool is
+/// gone, gets a fresh node.
+fn take_node() -> *mut McsNode {
+    let node = NODE_POOL
+        .try_with(|p| p.borrow_mut().pop())
+        .ok()
+        .flatten()
+        .unwrap_or_default();
+    Box::into_raw(node)
 }
 
-fn recycle_node(node: &'static McsNode) {
-    NODE_POOL.with(|p| p.borrow_mut().push(node));
+/// Return a node from [`take_node`] to the calling thread's pool, or
+/// free it when the pool is already torn down.
+///
+/// # Safety
+/// `node` came from [`take_node`] and no other thread references it.
+unsafe fn recycle_node(node: *mut McsNode) {
+    // SAFETY: per the contract, `node` is an exclusively owned box.
+    let node = unsafe { Box::from_raw(node) };
+    // A torn-down pool never runs the closure, which drops `node`.
+    let _ = NODE_POOL.try_with(move |p| p.borrow_mut().push(node));
 }
 
 /// MCS list-based queue lock.
@@ -74,7 +101,7 @@ impl McsLock {
         }
     }
 
-    fn lock_node(&self, node: &'static McsNode) {
+    fn lock_node(&self, node: &McsNode) {
         node.locked.store(true, Ordering::Relaxed);
         node.next.store(ptr::null_mut(), Ordering::Relaxed);
         let node_ptr = node as *const McsNode as *mut McsNode;
@@ -89,7 +116,7 @@ impl McsLock {
         }
     }
 
-    fn unlock_node(&self, node: &'static McsNode) {
+    fn unlock_node(&self, node: &McsNode) {
         let node_ptr = node as *const McsNode as *mut McsNode;
         let mut next = node.next.load(Ordering::Acquire);
         if next.is_null() {
@@ -123,38 +150,41 @@ impl McsLock {
 impl RawLock for McsLock {
     fn lock(&self) {
         let node = take_node();
-        self.lock_node(node);
-        self.holder
-            .store(node as *const McsNode as *mut McsNode, Ordering::Relaxed);
+        // SAFETY: a live box owned by this acquisition.
+        self.lock_node(unsafe { &*node });
+        self.holder.store(node, Ordering::Relaxed);
     }
 
     fn unlock(&self) {
         let node = self.holder.load(Ordering::Relaxed);
         debug_assert!(!node.is_null(), "unlock without holder");
         self.holder.store(ptr::null_mut(), Ordering::Relaxed);
-        let node: &'static McsNode = unsafe { &*node };
-        self.unlock_node(node);
-        recycle_node(node);
+        // SAFETY: the holder's node stays live until recycled below.
+        self.unlock_node(unsafe { &*node });
+        // SAFETY: once `unlock_node` returns, no successor references
+        // the node any more (it either swung the tail back or handed the
+        // lock to a linked successor).
+        unsafe { recycle_node(node) };
     }
 
     fn try_lock(&self) -> bool {
         // Uncontended fast path: tail is null → install our node.
         let node = take_node();
-        node.locked.store(true, Ordering::Relaxed);
-        node.next.store(ptr::null_mut(), Ordering::Relaxed);
-        let node_ptr = node as *const McsNode as *mut McsNode;
-        match self.tail.compare_exchange(
-            ptr::null_mut(),
-            node_ptr,
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
+        // SAFETY: a live box owned by this acquisition.
+        let n = unsafe { &*node };
+        n.locked.store(true, Ordering::Relaxed);
+        n.next.store(ptr::null_mut(), Ordering::Relaxed);
+        match self
+            .tail
+            .compare_exchange(ptr::null_mut(), node, Ordering::AcqRel, Ordering::Relaxed)
+        {
             Ok(_) => {
-                self.holder.store(node_ptr, Ordering::Relaxed);
+                self.holder.store(node, Ordering::Relaxed);
                 true
             }
             Err(_) => {
-                recycle_node(node);
+                // SAFETY: never published; still exclusively ours.
+                unsafe { recycle_node(node) };
                 false
             }
         }
@@ -207,6 +237,30 @@ mod tests {
         b.lock();
         a.unlock();
         b.unlock();
+    }
+
+    #[test]
+    fn exiting_thread_frees_its_nodes() {
+        // Three nested acquisitions leave three nodes in the spawned
+        // thread's pool; its exit must free exactly those nodes.
+        let nodes = std::thread::spawn(|| {
+            let locks = [McsLock::new(), McsLock::new(), McsLock::new()];
+            let mut nodes = Vec::new();
+            for l in &locks {
+                l.lock();
+                nodes.push(l.holder.load(Ordering::Relaxed) as usize);
+            }
+            for l in &locks {
+                l.unlock();
+            }
+            nodes
+        })
+        .join()
+        .unwrap();
+        let freed = FREED.lock().unwrap();
+        for n in nodes {
+            assert!(freed.contains(&n), "node {n:#x} outlived its thread");
+        }
     }
 
     #[test]

@@ -57,7 +57,6 @@ pub struct GraphCache {
     /// Accumulated partitioner operation counters across every
     /// computation this cache performed (cached entries recompute once,
     /// so these measure exactly the first-replay partitioning cost).
-    part_frontier_rescans: u64,
     part_heap_ops: u64,
 }
 
@@ -77,7 +76,6 @@ impl GraphCache {
             part_seeds: 0,
             part_seed_reused: 0,
             part_seed_total: 0,
-            part_frontier_rescans: 0,
             part_heap_ops: 0,
         }
     }
@@ -192,17 +190,9 @@ impl GraphCache {
     /// A fresh computation first checks the eviction stash: a graph that
     /// re-enters after being evicted seeds from its saved assignment
     /// ([`Partitioning::compute_seeded`], 100 % reuse on an unchanged
-    /// graph). `naive` selects the retained full-rescan reference
-    /// partitioner instead (`RuntimeConfig::replay_compat` — which, like
-    /// the pre-heap engine, also recomputes from scratch on re-entry).
-    /// Operation counters of every computation accumulate on the cache
-    /// ([`GraphCache::partition_stats`]).
-    pub fn partitioning(
-        &mut self,
-        graph: &Arc<ReplayGraph>,
-        parts: usize,
-        naive: bool,
-    ) -> Arc<Partitioning> {
+    /// graph). Operation counters of every computation accumulate on
+    /// the cache ([`GraphCache::partition_stats`]).
+    pub fn partitioning(&mut self, graph: &Arc<ReplayGraph>, parts: usize) -> Arc<Partitioning> {
         let hash = graph.structural_hash();
         if let Some(idx) = self.position(hash)
             && let Some((requested, p)) = &self.entries[idx].part
@@ -210,20 +200,16 @@ impl GraphCache {
         {
             return Arc::clone(p);
         }
-        let p = Arc::new(if naive {
-            Partitioning::compute_naive(graph, parts)
-        } else if let Some(pos) = self
+        let seed = self
             .evicted_parts
             .iter()
             .position(|&(h, n, _)| (h, n) == (hash, parts))
-        {
-            let (_, _, seed) = self.evicted_parts.remove(pos);
-            Partitioning::compute_seeded(graph, parts, &seed)
-        } else {
-            Partitioning::compute(graph, parts)
+            .map(|pos| self.evicted_parts.remove(pos).2);
+        let p = Arc::new(match seed {
+            Some(seed) => Partitioning::compute_seeded(graph, parts, &seed),
+            None => Partitioning::compute(graph, parts),
         });
         let st = p.stats();
-        self.part_frontier_rescans += st.frontier_rescans;
         self.part_heap_ops += st.heap_ops;
         if st.seeded {
             self.part_seeds += 1;
@@ -236,12 +222,11 @@ impl GraphCache {
         p
     }
 
-    /// Accumulated partitioner counters: `(frontier_rescans, heap_ops,
-    /// seeds, seed_reused_nodes, seed_total_nodes)` across every
-    /// partitioning this cache computed.
-    pub fn partition_stats(&self) -> (u64, u64, u64, u64, u64) {
+    /// Accumulated partitioner counters: `(heap_ops, seeds,
+    /// seed_reused_nodes, seed_total_nodes)` across every partitioning
+    /// this cache computed.
+    pub fn partition_stats(&self) -> (u64, u64, u64, u64) {
         (
-            self.part_frontier_rescans,
             self.part_heap_ops,
             self.part_seeds,
             self.part_seed_reused,
@@ -393,16 +378,16 @@ mod tests {
         let mut c = GraphCache::new(2);
         let g = graph2(0x10, 0x20);
         c.insert(Arc::clone(&g));
-        let p1 = c.partitioning(&g, 2, false);
-        let p2 = c.partitioning(&g, 2, false);
+        let p1 = c.partitioning(&g, 2);
+        let p2 = c.partitioning(&g, 2);
         assert!(Arc::ptr_eq(&p1, &p2), "second call served from the entry");
         // A different part count recomputes.
-        let p3 = c.partitioning(&g, 1, false);
+        let p3 = c.partitioning(&g, 1);
         assert!(!Arc::ptr_eq(&p1, &p3));
         assert_eq!(p3.parts(), 1);
         // Uncached graphs still get a (fresh) partitioning.
         let foreign = graph(0x999);
-        let pf = c.partitioning(&foreign, 2, false);
+        let pf = c.partitioning(&foreign, 2);
         assert_eq!(pf.assignments().len(), 1);
     }
 
@@ -415,36 +400,17 @@ mod tests {
         let mut c = GraphCache::new(1);
         let g = graph2(0x10, 0x20);
         c.insert(Arc::clone(&g));
-        let original = c.partitioning(&g, 2, false);
+        let original = c.partitioning(&g, 2);
         c.insert(graph2(0x30, 0x40));
         assert_eq!(c.evictions(), 1);
         c.insert(Arc::clone(&g));
-        let reseeded = c.partitioning(&g, 2, false);
+        let reseeded = c.partitioning(&g, 2);
         assert_eq!(*reseeded, *original, "identical placement after eviction");
         assert!(reseeded.stats().seeded);
         assert_eq!(reseeded.stats().seed_reused, 2);
-        let (_, _, seeds, reused, total) = c.partition_stats();
+        let (_, seeds, reused, total) = c.partition_stats();
         assert_eq!(seeds, 1);
         assert_eq!((reused, total), (2, 2), "100% of the assignment reused");
-    }
-
-    #[test]
-    fn naive_partitioning_skips_seeding() {
-        // The compat (pre-heap) reference recomputes from scratch on
-        // re-entry — no seeding, and the rescan counter grows instead of
-        // the heap counter.
-        let mut c = GraphCache::new(1);
-        let g = graph2(0x10, 0x20);
-        c.insert(Arc::clone(&g));
-        let _ = c.partitioning(&g, 2, true);
-        c.insert(graph2(0x30, 0x40));
-        c.insert(Arc::clone(&g));
-        let p = c.partitioning(&g, 2, true);
-        assert!(!p.stats().seeded);
-        let (rescans, heap_ops, seeds, ..) = c.partition_stats();
-        assert!(rescans > 0);
-        assert_eq!(heap_ops, 0);
-        assert_eq!(seeds, 0);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::cache::GraphCache;
 use crate::graph::ReplayGraph;
 use crate::partition::Partitioning;
 use crate::recorder::{
-    CaptureMode, CapturedSpawn, GraphRecorder, STRUCTURAL_HASH_SEED, SigHashMode,
+    CaptureMode, CapturedSpawn, GraphRecorder, STRUCTURAL_HASH_SEED, chain_sig, spawn_sig_hash,
 };
 
 /// What a [`RunIterative::run_iterative`] call did.
@@ -98,14 +98,8 @@ pub struct ReplayReport {
     /// Cut edges of the last replayed graph's partitioning (edges whose
     /// endpoints live on different NUMA nodes).
     pub partition_cut_edges: usize,
-    /// Full frontier re-scoring scans the partitioner performed across
-    /// this run (0 whenever the default heap partitioner is active — the
-    /// machine-checkable side of the O(n log n) claim; the retained
-    /// reference partitioner under `RuntimeConfig::replay_compat` pays
-    /// one per pick).
-    pub frontier_rescans: u64,
-    /// Heap pushes + pops the partitioner performed across this run
-    /// (0 under the reference partitioner).
+    /// Heap pushes + pops the partitioner performed across this run —
+    /// the machine-checkable side of the O(n log n) claim.
     pub heap_ops: u64,
     /// Partitionings seeded from an assignment that survived cache
     /// eviction (a graph re-entering the `GraphCache` adopts its old
@@ -202,11 +196,10 @@ impl core::fmt::Display for ReplayReport {
             write!(
                 f,
                 " | numa: partitions={} routed={} cut_edges={} \
-                 rescans={} heap_ops={} seeds={}",
+                 heap_ops={} seeds={}",
                 self.partitions,
                 self.routed_releases,
                 self.partition_cut_edges,
-                self.frontier_rescans,
                 self.heap_ops,
                 self.partition_seeds,
             )?;
@@ -234,7 +227,6 @@ struct ReplayObs {
     giveups: Counter,
     nested_spawns: Counter,
     routed_releases: Counter,
-    frontier_rescans: Counter,
     heap_ops: Counter,
     partition_seeds: Counter,
     partition_seed_reused: Counter,
@@ -266,7 +258,6 @@ impl ReplayObs {
             giveups: reg.counter("nanotask_replay_giveups_total"),
             nested_spawns: reg.counter("nanotask_replay_nested_spawns_total"),
             routed_releases: reg.counter("nanotask_replay_routed_releases_total"),
-            frontier_rescans: reg.counter("nanotask_replay_frontier_rescans_total"),
             heap_ops: reg.counter("nanotask_replay_heap_ops_total"),
             partition_seeds: reg.counter("nanotask_replay_partition_seeds_total"),
             partition_seed_reused: reg.counter("nanotask_replay_partition_seed_reused_total"),
@@ -295,7 +286,6 @@ impl ReplayObs {
         self.giveups.add(0, r.giveups as u64);
         self.nested_spawns.add(0, r.nested_spawns);
         self.routed_releases.add(0, r.routed_releases);
-        self.frontier_rescans.add(0, r.frontier_rescans);
         self.heap_ops.add(0, r.heap_ops);
         self.partition_seeds.add(0, r.partition_seeds);
         self.partition_seed_reused.add(0, r.partition_seed_reused);
@@ -370,9 +360,6 @@ struct IterState {
     part: Option<Arc<Partitioning>>,
     /// Held-task releases routed through the node-targeted path.
     routed: AtomicU64,
-    /// Reference data path ([`nanotask_core::RuntimeConfig::replay_compat`]):
-    /// sweep reset, no inline-routing composition.
-    compat: bool,
     /// Per-node cancellation marks — the replay mirror of the dependency
     /// systems' failure poisoning. A failed (or already-cancelled) task
     /// sets its successors' flags *before* dropping their pending
@@ -384,17 +371,8 @@ struct IterState {
 }
 
 impl IterState {
-    fn new(
-        graph: Arc<ReplayGraph>,
-        workers: usize,
-        part: Option<Arc<Partitioning>>,
-        compat: bool,
-    ) -> Self {
-        if compat {
-            graph.reset_sweep();
-        } else {
-            graph.reset();
-        }
+    fn new(graph: Arc<ReplayGraph>, workers: usize, part: Option<Arc<Partitioning>>) -> Self {
+        graph.reset();
         let groups = graph
             .groups()
             .iter()
@@ -410,7 +388,6 @@ impl IterState {
             launched: AtomicUsize::new(0),
             part,
             routed: AtomicU64::new(0),
-            compat,
             poisoned,
         }
     }
@@ -468,10 +445,10 @@ impl IterState {
     /// of the frozen graph. Scratch buffers are thread-local so the
     /// per-completion hot path never allocates.
     ///
-    /// With the zero-queue fast path on (and `replay_compat` off), one
-    /// *same-node* successor is kept as the releasing worker's inline
-    /// next task ([`TaskCtx::release_held_inline_to`]): dependence
-    /// locality composes with partition locality — the task still runs
+    /// With the zero-queue fast path on, one *same-node* successor is
+    /// kept as the releasing worker's inline next task
+    /// ([`TaskCtx::release_held_inline_to`]): dependence locality
+    /// composes with partition locality — the task still runs
     /// on its assigned node, it just skips the node queue.
     ///
     /// # Re-entrancy audit (thread-local scratch)
@@ -531,23 +508,17 @@ impl IterState {
             return;
         }
         self.routed.fetch_add(ready.len() as u64, Ordering::Relaxed);
-        if !self.compat {
-            // Fast-path composition: keep the first same-node successor
-            // inline (no-op when the fast path is off or the releaser is
-            // the root — `release_held_inline_to` declines and the task
-            // falls through to normal routing below).
-            let mut kept = None;
-            for (pos, &(node, h)) in ready.iter().enumerate() {
-                if ctx.release_held_inline_to(node, h) {
-                    kept = Some(pos);
-                    break;
-                }
-            }
-            if let Some(pos) = kept {
-                ready.remove(pos);
-                if ready.is_empty() {
-                    return;
-                }
+        // Fast-path composition: keep the first same-node successor
+        // inline (no-op when the fast path is off or the releaser is the
+        // root — `release_held_inline_to` declines and the task falls
+        // through to normal routing below).
+        if let Some(pos) = ready
+            .iter()
+            .position(|&(node, h)| ctx.release_held_inline_to(node, h))
+        {
+            ready.remove(pos);
+            if ready.is_empty() {
+                return;
             }
         }
         if let [(node, h)] = ready[..] {
@@ -629,41 +600,27 @@ impl IterState {
                 d
             })
             .collect();
-        let held = if self.compat {
-            // PR 4 data path: wrap every body in a fresh boxed closure
-            // (one allocation per task per iteration).
-            let st = Arc::clone(self_arc);
-            let wrapped = move |tc: &TaskCtx| {
-                body(tc);
-                st.after_body(tc, i);
-            };
-            ctx.spawn_held(node.label, node.priority, decls, wrapped)
-        } else {
-            // Hot loop: pass the user's already-boxed body straight
-            // through and hang the successor-release logic on the shared
-            // per-iteration epilogue — no wrapper allocation.
-            ctx.spawn_held_with_epilogue(
-                node.label,
-                node.priority,
-                decls,
-                body,
-                Arc::clone(self_arc) as Arc<dyn TaskEpilogue>,
-                i as u64,
-            )
-        };
+        // Pass the user's already-boxed body straight through and hang
+        // the successor-release logic on the shared per-iteration
+        // epilogue — no wrapper allocation.
+        let held = ctx.spawn_held_with_epilogue(
+            node.label,
+            node.priority,
+            decls,
+            body,
+            Arc::clone(self_arc) as Arc<dyn TaskEpilogue>,
+            i as u64,
+        );
         self.graph.publish(i, held.into_raw());
         // Drop the creation hold; releases the task if all its
         // predecessors already finished (or it has none) — routed to its
         // partition's node when partitioning is on.
         match &self.part {
             None => self.countdown(ctx, i as u32),
-            // PR 4 path: every hold drop goes through the routed-release
-            // scratch machinery, released or not.
-            Some(p) if self.compat => self.countdown_routed(ctx, &[i as u32], p),
-            // Hot loop: decrement first — only the rare hold drop that
-            // actually releases (a root of the graph, or a node whose
-            // predecessors all finished during the spawn phase) pays the
-            // routing path; interior nodes cost one atomic decrement.
+            // Decrement first — only the rare hold drop that actually
+            // releases (a root of the graph, or a node whose predecessors
+            // all finished during the spawn phase) pays the routing path;
+            // interior nodes cost one atomic decrement.
             Some(p) => {
                 if let Some(t) = self.graph.countdown(i) {
                     self.launched.fetch_add(1, Ordering::Relaxed);
@@ -764,20 +721,13 @@ struct EngineCapture {
     /// original single-graph design (divergence discards the graph and
     /// the next iteration blindly re-records).
     hysteresis: bool,
-    /// Reference data path ([`nanotask_core::RuntimeConfig::replay_compat`]):
-    /// sweep reset, full-rescan partitioner, byte-FNV hashing, no inline
-    /// routing.
-    compat: bool,
-    /// Signature/structural hash function of this run (fixed:
-    /// recorded sigs and fed sigs must come from the same function).
-    hmode: SigHashMode,
 }
 
 unsafe impl Send for EngineCapture {}
 unsafe impl Sync for EngineCapture {}
 
 impl EngineCapture {
-    fn new(workers: usize, cache_size: usize, parts: usize, compat: bool) -> Self {
+    fn new(workers: usize, cache_size: usize, parts: usize) -> Self {
         Self {
             mode: UnsafeCell::new(Mode::Off),
             recorder: GraphRecorder::new(),
@@ -785,8 +735,6 @@ impl EngineCapture {
             workers,
             parts,
             hysteresis: cache_size > 1,
-            compat,
-            hmode: SigHashMode::for_compat(compat),
         }
     }
 
@@ -797,11 +745,11 @@ impl EngineCapture {
     /// Calls `self.cache()` — root-thread confinement (see type docs).
     fn make_state(&self, g: Arc<ReplayGraph>) -> Arc<IterState> {
         let part = if self.parts > 0 {
-            Some(unsafe { self.cache() }.partitioning(&g, self.parts, self.compat))
+            Some(unsafe { self.cache() }.partitioning(&g, self.parts))
         } else {
             None
         };
-        Arc::new(IterState::new(g, self.workers, part, self.compat))
+        Arc::new(IterState::new(g, self.workers, part))
     }
 
     /// # Safety
@@ -904,9 +852,7 @@ impl SpawnCapture for EngineCapture {
             Mode::Off => Some((deps, body)),
             Mode::Record => self.recorder.on_spawn(ctx, label, priority, deps, body),
             Mode::Probe { hash } => {
-                *hash = self
-                    .hmode
-                    .chain(*hash, self.hmode.sig(label, priority, deps.decls()));
+                *hash = chain_sig(*hash, spawn_sig_hash(label, priority, deps.decls()));
                 Some((deps, body))
             }
             Mode::Feed {
@@ -924,7 +870,7 @@ impl SpawnCapture for EngineCapture {
                 }
                 let i = *next;
                 *next = i + 1;
-                let sig = self.hmode.sig(label, priority, deps.decls());
+                let sig = spawn_sig_hash(label, priority, deps.decls());
                 let matched = {
                     let nodes = state.graph.nodes();
                     i < nodes.len() && nodes[i].sig == sig
@@ -1012,10 +958,9 @@ impl RunIterative for Runtime {
         } else {
             0
         };
-        let compat = cfg.replay_compat;
 
         let body = Arc::new(body);
-        let capture = Arc::new(EngineCapture::new(workers, cache_size, parts, compat));
+        let capture = Arc::new(EngineCapture::new(workers, cache_size, parts));
         self.set_spawn_capture(Some(Arc::clone(&capture) as _));
         let prev_graph_recording = self.graph_recording();
         self.clear_graph_edges();
@@ -1150,7 +1095,7 @@ impl RunIterative for Runtime {
                         let tap = ctx.take_graph_edges();
                         let nested = ctx.nested_spawn_count() - nested0;
                         let freeze_t0 = std::time::Instant::now();
-                        let g = Arc::new(ReplayGraph::build_with(&captured, &tap, cap.hmode));
+                        let g = Arc::new(ReplayGraph::build(&captured, &tap));
                         report.freeze_ns += freeze_t0.elapsed().as_nanos() as u64;
                         ctx.trace_mark(EventKind::ReplayRecordEnd, g.len() as u64);
                         report.rerecords += 1;
@@ -1280,7 +1225,7 @@ impl RunIterative for Runtime {
                                 } else {
                                     end.state.graph.prefix_captured(end.spawned)
                                 };
-                                let h = cap.hmode.structural_hash(&captured);
+                                let h = GraphRecorder::structural_hash(&captured);
                                 if let Some(hit) = cache!().get(h) {
                                     report.cache_hits += 1;
                                     ctx.trace_mark(EventKind::ReplayCacheHit, iter as u64);
@@ -1297,11 +1242,7 @@ impl RunIterative for Runtime {
                                     report.rerecords += 1;
                                     report.cache_misses += 1;
                                     let freeze_t0 = std::time::Instant::now();
-                                    let ng = Arc::new(ReplayGraph::build_with(
-                                        &captured,
-                                        &[],
-                                        cap.hmode,
-                                    ));
+                                    let ng = Arc::new(ReplayGraph::build(&captured, &[]));
                                     report.freeze_ns += freeze_t0.elapsed().as_nanos() as u64;
                                     last_graph = Some(Arc::clone(&ng));
                                     if nested > 0 {
@@ -1347,8 +1288,7 @@ impl RunIterative for Runtime {
             }
             report.cache_evictions = cache!().evictions();
             report.per_graph_replays = cache!().per_graph_replays();
-            let (rescans, heap_ops, seeds, seed_reused, seed_total) = cache!().partition_stats();
-            report.frontier_rescans = rescans;
+            let (heap_ops, seeds, seed_reused, seed_total) = cache!().partition_stats();
             report.heap_ops = heap_ops;
             report.partition_seeds = seeds;
             report.partition_seed_reused = seed_reused;
@@ -2198,7 +2138,6 @@ mod tests {
         assert_eq!(unsafe { *data }, 120);
         assert_eq!(report.replayed, 5);
         assert!(report.routed_releases > 0, "{report}");
-        assert_eq!(report.frontier_rescans, 0, "heap partitioner active");
         assert!(report.heap_ops > 0, "{report}");
         let rr = rt.run_report();
         assert!(
@@ -2212,42 +2151,6 @@ mod tests {
         );
         check_invariants(&report);
         assert_eq!(rt.live_tasks(), 0);
-        unsafe { drop(Box::from_raw(data)) };
-    }
-
-    #[test]
-    fn compat_mode_runs_reference_path() {
-        // `replay_compat` selects the retained PR 4 data path: sweep
-        // reset, full-rescan partitioner, no inline-routing composition.
-        // Results are identical; only the counters differ.
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(4)
-                .with_numa_nodes(2)
-                .with_replay_partitioning(true)
-                .with_replay_compat(true)
-                .fast_path(true),
-        );
-        let data = Box::leak(Box::new(0u64)) as *mut u64;
-        let p = SendPtr::new(data);
-        let report = rt.run_iterative(6, move |ctx| {
-            for _ in 0..20 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
-        });
-        assert_eq!(unsafe { *data }, 120);
-        assert_eq!(report.replayed, 5);
-        assert!(report.frontier_rescans > 0, "naive partitioner: {report}");
-        assert_eq!(report.heap_ops, 0, "{report}");
-        assert_eq!(report.partition_seeds, 0, "no eviction seeding");
-        let rr = rt.run_report();
-        assert_eq!(
-            rr.sched.inline_routed, 0,
-            "reference path never keeps routed releases inline"
-        );
-        check_invariants(&report);
         unsafe { drop(Box::from_raw(data)) };
     }
 

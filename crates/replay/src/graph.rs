@@ -18,9 +18,7 @@
 //! contiguous slices indexed by node, not per-node heap vectors. No
 //! per-node allocation survives freezing, successor walks are linear
 //! scans, and the per-iteration reset of the in-degree counters is a
-//! single `memcpy` from a precomputed template ([`ReplayGraph::reset`];
-//! the node-by-node sweep of the pre-CSR engine is retained as
-//! [`ReplayGraph::reset_sweep`] for the differential reference path).
+//! single `memcpy` from a precomputed template ([`ReplayGraph::reset`]).
 //!
 //! The dependency-edge tap (`GraphEdge`) from the instrumented record
 //! iteration is kept as a cross-check: tapped successor edges between
@@ -36,7 +34,9 @@ use nanotask_core::hash::AddrMap;
 use nanotask_core::task::Task;
 use nanotask_core::{AccessDecl, AccessMode, RedOp, TaskId};
 
-use crate::recorder::{CapturedDecls, CapturedSpawn, STRUCTURAL_HASH_SEED, SigHashMode};
+use crate::recorder::{
+    CapturedDecls, CapturedSpawn, STRUCTURAL_HASH_SEED, chain_sig, spawn_sig_hash,
+};
 
 /// Scalar metadata of one frozen node (creation order = node index).
 /// Variable-length data — successors, declarations, reduction
@@ -271,18 +271,10 @@ fn coalesce_into(decls: &[AccessDecl], eff: &mut Vec<AccessDecl>) {
 }
 
 impl ReplayGraph {
-    /// Freeze a captured iteration with the default (word-folded)
-    /// signature hash. `tap` is the dependency-edge record of the
-    /// instrumented iteration (may be empty when unavailable, e.g. after
-    /// a divergence re-record).
+    /// Freeze a captured iteration. `tap` is the dependency-edge record
+    /// of the instrumented iteration (may be empty when unavailable, e.g.
+    /// after a divergence re-record).
     pub fn build(captured: &[CapturedSpawn], tap: &[GraphEdge]) -> Self {
-        Self::build_with(captured, tap, SigHashMode::Folded)
-    }
-
-    /// Freeze a captured iteration under an explicit [`SigHashMode`] —
-    /// the node signatures and the structural hash must come from the
-    /// same function the engine will match fed spawns with.
-    pub fn build_with(captured: &[CapturedSpawn], tap: &[GraphEdge], mode: SigHashMode) -> Self {
         let n = captured.len();
         // One pass over the captured spawns builds both the per-node
         // scalars (label, priority, signature hash) and the declaration
@@ -312,7 +304,7 @@ impl ReplayGraph {
             meta.push(NodeMeta {
                 label: c.label,
                 priority: c.priority,
-                sig: mode.sig(c.label, c.priority, ds),
+                sig: spawn_sig_hash(c.label, c.priority, ds),
                 indeg: 0,
             });
             for d in ds {
@@ -526,12 +518,12 @@ impl ReplayGraph {
             .collect();
         // Fold the structural hash from the per-node sigs computed in
         // the first pass — identical by construction to
-        // `mode.structural_hash(captured)` (which chains `sig(c)` per
-        // node from the same seed) without a third sweep over the
+        // `GraphRecorder::structural_hash(captured)` (which chains the
+        // same sigs from the same seed) without a third sweep over the
         // scattered captured decls.
         let h = meta
             .iter()
-            .fold(STRUCTURAL_HASH_SEED, |h, m| mode.chain(h, m.sig));
+            .fold(STRUCTURAL_HASH_SEED, |h, m| chain_sig(h, m.sig));
         Self {
             hash: h,
             edges: edges.len(),
@@ -700,18 +692,6 @@ impl ReplayGraph {
                 n,
             );
             core::ptr::write_bytes(self.slots.as_ptr() as *mut *mut Task, 0, n);
-        }
-    }
-
-    /// The pre-CSR engine's reset: one relaxed store per node. Retained
-    /// as the reference data path for the differential conformance tests
-    /// and the `fig16_replay_hotloop` baseline
-    /// (`RuntimeConfig::replay_compat`); behavior is identical to
-    /// [`ReplayGraph::reset`], only the per-iteration cost differs.
-    pub fn reset_sweep(&self) {
-        for i in 0..self.pending.len() {
-            self.pending[i].store(self.pending_template[i], Ordering::Relaxed);
-            self.slots[i].store(core::ptr::null_mut(), Ordering::Relaxed);
         }
     }
 
@@ -892,9 +872,9 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_sweep_reset_agree() {
-        // The memcpy reset and the retained node-by-node sweep must
-        // leave identical counter/slot state.
+    fn reset_restores_template_and_clears_slots() {
+        // After a publish and a countdown, the memcpy reset must leave
+        // every counter at its template value and every slot null.
         let g = ReplayGraph::build(
             &[
                 cap("a", vec![rw(0x10)]),
@@ -906,17 +886,16 @@ mod tests {
         let fake = 0x2000 as *mut Task;
         g.reset();
         g.publish(0, fake);
-        let after_memcpy: Vec<u32> = (0..3)
+        g.publish(2, fake);
+        assert_eq!(g.countdown(0), Some(fake));
+        g.reset();
+        let pending: Vec<u32> = (0..3)
             .map(|i| g.pending[i].load(Ordering::Relaxed))
             .collect();
-        g.reset_sweep();
-        let after_sweep: Vec<u32> = (0..3)
-            .map(|i| g.pending[i].load(Ordering::Relaxed))
-            .collect();
-        assert_eq!(after_memcpy, after_sweep);
+        assert_eq!(pending, g.pending_template);
         assert!(
             (0..3).all(|i| g.slots[i].load(Ordering::Relaxed).is_null()),
-            "sweep cleared the published slot"
+            "reset cleared the published slots"
         );
     }
 

@@ -34,8 +34,9 @@
 //!    work-stealing — replay is scheduler-agnostic) the moment its
 //!    in-degree counter hits zero.
 //!
-//! Divergence is detected by a cheap structural hash (FNV-1a over
-//! labels, priorities and access sets, in creation order) and handled
+//! Divergence is detected by a cheap structural hash (a word-folded
+//! multiply-rotate hash over labels, priorities and access sets, in
+//! creation order) and handled
 //! with *hysteresis*: up to [`nanotask_core::RuntimeConfig::replay_cache_size`]
 //! frozen graphs are kept in a [`GraphCache`] keyed by that hash, so a
 //! body alternating between a few shapes (miniAMR-style refine/coarsen

@@ -19,8 +19,8 @@
 //! change pushes a fresh heap entry and stale entries are discarded at
 //! pop time — each pick is O(log n) heap work instead of a full
 //! re-scoring scan of the ready frontier. The original full-rescan
-//! partitioner (O(n²) on wide flat graphs) is retained verbatim as
-//! [`Partitioning::compute_naive`]; both produce the *identical*
+//! partitioner (O(n²) on wide flat graphs) is retained as the test-only
+//! oracle [`Partitioning::compute_naive`]; both produce the *identical*
 //! assignment (same scores, same tie-breaks — property-tested), and
 //! [`PartitionStats`] counts `heap_ops` vs `frontier_rescans` so the
 //! complexity claim is machine-checkable.
@@ -264,13 +264,12 @@ impl Partitioning {
         }
     }
 
-    /// The original full-rescan partitioner, retained verbatim as the
-    /// reference implementation: every pick re-scores the entire ready
-    /// frontier (O(n²) on wide flat graphs — `frontier_rescans` counts
-    /// each scan). Same assignment as [`Partitioning::compute`] by
-    /// construction; the conformance suite asserts the parity on
-    /// randomized graphs. Used by `RuntimeConfig::replay_compat` and the
-    /// parity tests.
+    /// The original full-rescan partitioner, retained as a test-only
+    /// reference oracle: every pick re-scores the entire ready frontier
+    /// (O(n²) on wide flat graphs — `frontier_rescans` counts each scan).
+    /// Same assignment as [`Partitioning::compute`] by construction; the
+    /// heap partitioner's parity tests compare against it on randomized
+    /// graphs. The runtime never calls it.
     pub fn compute_naive(graph: &ReplayGraph, parts: usize) -> Self {
         let n = graph.len();
         let parts = parts.max(1).min(n.max(1));

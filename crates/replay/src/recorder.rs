@@ -100,40 +100,9 @@ pub struct GraphRecorder {
     last_len: AtomicUsize,
 }
 
-/// FNV-1a over a byte stream.
-fn fnv(mut h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// FNV-1a offset basis — the seed of both [`spawn_sig_hash`] and the
-/// iteration-level structural hash.
+/// Seed of [`spawn_sig_hash`] and of the iteration-level structural
+/// hash (the FNV-1a offset basis).
 pub const STRUCTURAL_HASH_SEED: u64 = 0xcbf29ce484222325;
-
-/// Signature hash of one spawn: label, priority and access set. The
-/// replay engine matches incoming spawns against recorded nodes with
-/// this (cheap, allocation-free) hash.
-///
-/// This is the original byte-at-a-time FNV-1a, kept verbatim as the
-/// reference path (`RuntimeConfig::replay_compat`); the steady-state hot
-/// loop pays this per spawn per iteration, so the default engine uses
-/// the word-folded [`spawn_sig_hash_fast`] instead (~8× fewer multiplies
-/// on the same inputs). The two produce different *values* but identical
-/// matching behavior — equal spawn metadata ⇒ equal hash, per function.
-pub fn spawn_sig_hash(label: &str, priority: i32, decls: &[AccessDecl]) -> u64 {
-    let mut h = fnv(STRUCTURAL_HASH_SEED, label.bytes());
-    h = fnv(h, (priority as u64).to_le_bytes());
-    h = fnv(h, (decls.len() as u64).to_le_bytes());
-    for d in decls {
-        h = fnv(h, (d.addr as u64).to_le_bytes());
-        h = fnv(h, (d.len as u64).to_le_bytes());
-        h = fnv(h, mode_tag(d.mode).to_le_bytes());
-    }
-    h
-}
 
 /// One multiply-rotate mixing step of the word-folded hash.
 #[inline]
@@ -141,15 +110,12 @@ fn mix(h: u64, w: u64) -> u64 {
     (h.rotate_left(26) ^ w).wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-/// Word-folded signature hash: same inputs as [`spawn_sig_hash`], mixed
-/// 8 bytes at a time (one multiply per word instead of one per byte).
-/// The per-spawn divergence check is the replay engine's hottest
-/// steady-state instruction stream — this folds a ~100 ns/FNV hash down
-/// to ~15 ns. Hash *values* differ from the byte FNV; matching behavior
-/// (equal metadata ⇒ equal hash) is identical, and a run only ever
-/// compares hashes produced by the same function
-/// ([`SigHashMode`] is fixed per engine run).
-pub fn spawn_sig_hash_fast(label: &str, priority: i32, decls: &[AccessDecl]) -> u64 {
+/// Signature hash of one spawn: label, priority and access set, mixed
+/// 8 bytes at a time (one multiply per word). The replay engine matches
+/// incoming spawns against recorded nodes with this (cheap,
+/// allocation-free) hash; the per-spawn divergence check is the engine's
+/// hottest steady-state instruction stream.
+pub fn spawn_sig_hash(label: &str, priority: i32, decls: &[AccessDecl]) -> u64 {
     let b = label.as_bytes();
     let mut h = STRUCTURAL_HASH_SEED;
     for chunk in b.chunks(8) {
@@ -168,61 +134,14 @@ pub fn spawn_sig_hash_fast(label: &str, priority: i32, decls: &[AccessDecl]) -> 
     h
 }
 
-/// Which signature/structural hash function an engine run uses. Fixed
-/// for the lifetime of one `run_iterative` call: recorded node sigs,
-/// fed-spawn sigs, probe hashes and cache keys must all come from the
-/// same function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SigHashMode {
-    /// Word-folded ([`spawn_sig_hash_fast`]) — the default hot loop.
-    Folded,
-    /// Byte-at-a-time FNV-1a ([`spawn_sig_hash`]) — the retained
-    /// reference path (`RuntimeConfig::replay_compat`).
-    ByteFnv,
-}
-
-impl SigHashMode {
-    /// The mode for an engine with the given compat setting.
-    pub fn for_compat(compat: bool) -> Self {
-        if compat { Self::ByteFnv } else { Self::Folded }
-    }
-
-    /// Signature hash of one spawn under this mode.
-    #[inline]
-    pub fn sig(self, label: &str, priority: i32, decls: &[AccessDecl]) -> u64 {
-        match self {
-            Self::Folded => spawn_sig_hash_fast(label, priority, decls),
-            Self::ByteFnv => spawn_sig_hash(label, priority, decls),
-        }
-    }
-
-    /// Fold one spawn signature into a running structural hash under
-    /// this mode.
-    #[inline]
-    pub fn chain(self, h: u64, sig: u64) -> u64 {
-        match self {
-            Self::Folded => mix(h, sig),
-            Self::ByteFnv => chain_structural_hash(h, sig),
-        }
-    }
-
-    /// Structural hash of a captured spawn sequence under this mode.
-    pub fn structural_hash(self, captured: &[CapturedSpawn]) -> u64 {
-        let mut h = STRUCTURAL_HASH_SEED;
-        for c in captured {
-            h = self.chain(h, self.sig(c.label, c.priority, c.decls.as_slice()));
-        }
-        h
-    }
-}
-
 /// Fold one spawn's [`spawn_sig_hash`] into a running structural hash.
 /// Chaining every spawn of an iteration from [`STRUCTURAL_HASH_SEED`]
 /// yields [`GraphRecorder::structural_hash`] — this incremental form is
 /// what the replay engine's pinned-mode probe computes without buffering
 /// anything.
-pub fn chain_structural_hash(h: u64, sig: u64) -> u64 {
-    fnv(h, sig.to_le_bytes())
+#[inline]
+pub fn chain_sig(h: u64, sig: u64) -> u64 {
+    mix(h, sig)
 }
 
 impl GraphRecorder {
@@ -262,15 +181,14 @@ impl GraphRecorder {
         taken
     }
 
-    /// Structural hash of a captured spawn sequence (the per-spawn
-    /// [`spawn_sig_hash`]es chained in creation order) under the
-    /// byte-FNV reference mode — delegates to
-    /// [`SigHashMode::structural_hash`]; the engine hashes through its
-    /// run's own [`SigHashMode`] instead. Two iterations with equal
-    /// hashes spawn the same graph shape over the same addresses — the
-    /// replay engine's divergence check.
+    /// Structural hash of a captured spawn sequence: the per-spawn
+    /// [`spawn_sig_hash`]es chained in creation order. Two iterations
+    /// with equal hashes spawn the same graph shape over the same
+    /// addresses — the replay engine's divergence check.
     pub fn structural_hash(captured: &[CapturedSpawn]) -> u64 {
-        SigHashMode::ByteFnv.structural_hash(captured)
+        captured.iter().fold(STRUCTURAL_HASH_SEED, |h, c| {
+            chain_sig(h, spawn_sig_hash(c.label, c.priority, c.decls.as_slice()))
+        })
     }
 }
 
@@ -357,10 +275,16 @@ mod tests {
             0,
             vec![AccessDecl::new(0x10, 8, AccessMode::Read)],
         )];
+        let e = vec![cap(
+            "t",
+            0,
+            vec![AccessDecl::new(0x18, 8, AccessMode::Read)],
+        )];
         let ha = GraphRecorder::structural_hash(&a);
         assert_ne!(ha, GraphRecorder::structural_hash(&b), "mode");
         assert_ne!(ha, GraphRecorder::structural_hash(&c), "priority");
         assert_ne!(ha, GraphRecorder::structural_hash(&d), "label");
+        assert_ne!(ha, GraphRecorder::structural_hash(&e), "address");
         assert_eq!(ha, GraphRecorder::structural_hash(&a), "stable");
     }
 
@@ -373,7 +297,7 @@ mod tests {
         ];
         let mut h = STRUCTURAL_HASH_SEED;
         for c in &seq {
-            h = chain_structural_hash(h, spawn_sig_hash(c.label, c.priority, c.decls.as_slice()));
+            h = chain_sig(h, spawn_sig_hash(c.label, c.priority, c.decls.as_slice()));
         }
         assert_eq!(h, GraphRecorder::structural_hash(&seq));
         assert_eq!(STRUCTURAL_HASH_SEED, GraphRecorder::structural_hash(&[]));
@@ -388,5 +312,11 @@ mod tests {
         ];
         assert_ne!(spawn_sig_hash("t", 0, &a), spawn_sig_hash("t", 0, &b));
         assert_eq!(spawn_sig_hash("t", 0, &a), spawn_sig_hash("t", 0, &a));
+        // Labels fold a word at a time: a label spanning a word
+        // boundary, and one differing only past it, still differ.
+        assert_ne!(
+            spawn_sig_hash("block_0000", 0, &a),
+            spawn_sig_hash("block_0001", 0, &a)
+        );
     }
 }

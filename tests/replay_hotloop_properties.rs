@@ -3,25 +3,23 @@
 //! heap partitioner with eviction seeding, and inline-successor
 //! routing):
 //!
-//! 1. **Differential**: for random task programs — including
-//!    phase-alternating bodies that exercise the cache, divergence and
-//!    re-record paths — the hot-loop engine and the retained PR 4
-//!    reference path (`RuntimeConfig::replay_compat`) produce
-//!    field-by-field identical [`ReplayReport`]s (hash *values* aside:
-//!    the two paths hash with different functions, so cached-graph keys
-//!    are compared by shape), identical memory (writers apply a
-//!    non-commutative update, pinning every write order) and identical
-//!    per-task execution counts — across the full
+//! 1. **Cross-configuration differential**: for random task programs —
+//!    including phase-alternating bodies that exercise the cache,
+//!    divergence and re-record paths — every configuration of the full
 //!    {Delegation, Central, WorkSteal} × {WaitFree, Locking} matrix,
-//!    with the fast path + partitioning on AND off.
+//!    with the fast path + partitioning on AND off, produces the serial
+//!    oracle's memory (writers apply a non-commutative update, pinning
+//!    every write order), runs every task exactly once per iteration,
+//!    and reports field-by-field the same [`ReplayReport`] as the
+//!    Delegation × WaitFree knobs-off run (partitioner counters compared
+//!    among the knobs-on runs).
 //! 2. **Partitioner parity**: on randomized small graphs the heap
 //!    partitioner produces the *same assignment* as the retained naive
 //!    reference (exact cover + cut parity + identical placement), with
 //!    zero frontier rescans.
 //! 3. **Wide flat graphs**: first-replay partitioning of ≥ 4k
-//!    independent tasks does zero full-frontier rescans and O(n log n)
-//!    heap ops (counter-verified through the engine report), while the
-//!    reference path pays one rescan per pick.
+//!    independent tasks does O(n log n) heap ops (counter-verified
+//!    through the engine report).
 //! 4. **Eviction survival**: a phase cycle under cache pressure reuses
 //!    ≥ 90 % of every evicted assignment on re-entry.
 
@@ -136,20 +134,21 @@ struct Outcome {
 }
 
 /// Run a phase-alternating body (`phases[i % len]` at iteration `i`)
-/// under one configuration and collect the outcome.
+/// under one configuration over `mem` (zeroed first) and collect the
+/// outcome. Reusing one buffer keeps the declared addresses — and with
+/// them every structural hash — identical across configurations.
 fn run_engine(
+    mem: &mut [u64; ADDRS],
     phases: &[Program],
     iters: usize,
     sched: SchedKind,
     deps: DepsKind,
     knobs_on: bool,
-    compat: bool,
 ) -> Outcome {
     let mut cfg = RuntimeConfig::optimized()
         .scheduler(sched)
         .dependency_system(deps)
-        .workers(3)
-        .with_replay_compat(compat);
+        .workers(3);
     if knobs_on {
         cfg = cfg
             .with_numa_nodes(2)
@@ -157,7 +156,7 @@ fn run_engine(
             .fast_path(true);
     }
     let rt = Runtime::new(cfg);
-    let mut mem = Box::new([0u64; ADDRS]);
+    *mem = [0; ADDRS];
     let base = SendPtr::new(mem.as_mut_ptr());
     let n: usize = phases.iter().map(Vec::len).max().unwrap_or(0);
     let runs: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
@@ -200,63 +199,66 @@ fn run_engine(
     }
 }
 
-/// Field-by-field report equality between the hot loop and the PR 4
-/// reference. Structural-hash *values* are excluded (the two paths hash
-/// with different functions); cached-graph entries are compared by
-/// (tasks, replays) shape instead. The partitioner implementation
-/// counters (`frontier_rescans`/`heap_ops`/seed counters) are the
-/// documented difference and are checked for *sidedness* instead.
-fn assert_reports_equivalent(hot: &ReplayReport, pr4: &ReplayReport, what: &str) {
-    hot.assert_classification();
-    pr4.assert_classification();
-    assert_eq!(hot.iterations, pr4.iterations, "{what}: iterations");
-    assert_eq!(hot.replayed, pr4.replayed, "{what}: replayed");
-    assert_eq!(hot.rerecords, pr4.rerecords, "{what}: rerecords");
-    assert_eq!(hot.diverged, pr4.diverged, "{what}: diverged");
-    assert_eq!(hot.tasks, pr4.tasks, "{what}: tasks");
-    assert_eq!(hot.edges, pr4.edges, "{what}: edges");
-    assert_eq!(hot.edge_list, pr4.edge_list, "{what}: edge_list");
-    assert_eq!(hot.foreign_edges, pr4.foreign_edges, "{what}: foreign");
-    assert_eq!(hot.cache_hits, pr4.cache_hits, "{what}: cache_hits");
-    assert_eq!(hot.cache_misses, pr4.cache_misses, "{what}: cache_misses");
+/// Field-by-field equality of everything the partitioner does not
+/// touch, between a reference run and another configuration: every
+/// configuration hashes, records and replays the same body identically.
+fn assert_reports_equivalent(base: &ReplayReport, r: &ReplayReport, what: &str) {
+    r.assert_classification();
+    assert_eq!(r.iterations, base.iterations, "{what}: iterations");
+    assert_eq!(r.replayed, base.replayed, "{what}: replayed");
+    assert_eq!(r.rerecords, base.rerecords, "{what}: rerecords");
+    assert_eq!(r.diverged, base.diverged, "{what}: diverged");
+    assert_eq!(r.tasks, base.tasks, "{what}: tasks");
+    assert_eq!(r.edges, base.edges, "{what}: edges");
+    assert_eq!(r.edge_list, base.edge_list, "{what}: edge_list");
+    assert_eq!(r.foreign_edges, base.foreign_edges, "{what}: foreign");
+    assert_eq!(r.cache_hits, base.cache_hits, "{what}: cache_hits");
+    assert_eq!(r.cache_misses, base.cache_misses, "{what}: cache_misses");
+    assert_eq!(r.cache_evictions, base.cache_evictions, "{what}: evictions");
     assert_eq!(
-        hot.cache_evictions, pr4.cache_evictions,
-        "{what}: evictions"
-    );
-    assert_eq!(
-        hot.pinned_iterations, pr4.pinned_iterations,
+        r.pinned_iterations, base.pinned_iterations,
         "{what}: pinned"
     );
-    assert_eq!(hot.giveups, pr4.giveups, "{what}: giveups");
-    assert_eq!(hot.nested_spawns, pr4.nested_spawns, "{what}: nested");
+    assert_eq!(r.giveups, base.giveups, "{what}: giveups");
+    assert_eq!(r.nested_spawns, base.nested_spawns, "{what}: nested");
+    assert_eq!(r.pinned_nested, base.pinned_nested, "{what}: pinned_nested");
     assert_eq!(
-        hot.pinned_nested, pr4.pinned_nested,
-        "{what}: pinned_nested"
+        r.per_graph_replays, base.per_graph_replays,
+        "{what}: per-graph replays (hashes included)"
     );
-    let shape = |r: &ReplayReport| {
-        r.per_graph_replays
-            .iter()
-            .map(|&(_, t, n)| (t, n))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(shape(hot), shape(pr4), "{what}: per-graph replay shape");
-    assert_eq!(hot.partitions, pr4.partitions, "{what}: partitions");
+}
+
+/// Partitioner-side equality among runs with partitioning on (the
+/// partitioner is deterministic, so scheduler and dependency system
+/// must not change its counters), or its absence when off.
+fn assert_partitioning_equivalent(base: &ReplayReport, r: &ReplayReport, what: &str) {
+    assert_eq!(r.partitions, base.partitions, "{what}: partitions");
     assert_eq!(
-        hot.routed_releases, pr4.routed_releases,
+        r.routed_releases, base.routed_releases,
         "{what}: routed_releases"
     );
     assert_eq!(
-        hot.partition_cut_edges, pr4.partition_cut_edges,
-        "{what}: cut edges (heap and naive partitioner agree)"
+        r.partition_cut_edges, base.partition_cut_edges,
+        "{what}: cut edges"
     );
-    // Sidedness of the implementation counters.
-    assert_eq!(hot.frontier_rescans, 0, "{what}: hot never rescans");
-    assert_eq!(pr4.heap_ops, 0, "{what}: reference never heaps");
-    if hot.partitions > 0 && hot.tasks > 1 {
-        assert!(hot.heap_ops > 0, "{what}: heap partitioner ran");
-        assert!(pr4.frontier_rescans > 0, "{what}: naive partitioner ran");
+    assert_eq!(r.heap_ops, base.heap_ops, "{what}: heap_ops");
+    assert_eq!(r.partition_seeds, base.partition_seeds, "{what}: seeds");
+    if r.partitions > 0 && r.tasks > 1 {
+        assert!(r.heap_ops > 0, "{what}: heap partitioner ran");
     }
-    assert_eq!(pr4.partition_seeds, 0, "{what}: reference never seeds");
+}
+
+/// Per-task execution counts the serial schedule implies: task `ti`
+/// runs once in every iteration whose phase has at least `ti + 1` tasks.
+fn expected_runs(phases: &[Program], iters: usize) -> Vec<u64> {
+    let n = phases.iter().map(Vec::len).max().unwrap_or(0);
+    (0..n)
+        .map(|ti| {
+            (0..iters)
+                .filter(|i| phases[i % phases.len()].len() > ti)
+                .count() as u64
+        })
+        .collect()
 }
 
 const SCHEDS: [SchedKind; 3] = [
@@ -268,27 +270,32 @@ const SCHEDS: [SchedKind; 3] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Property 1: the hot loop is behaviorally identical to the PR 4
-    /// reference on phase-alternating random bodies, across the
-    /// scheduler × deps matrix, knobs on and off.
+    /// Property 1: every scheduler × deps × knobs configuration replays
+    /// phase-alternating random bodies to the serial oracle, runs each
+    /// task exactly once per iteration, and reports the same as the
+    /// Delegation × WaitFree knobs-off reference.
     #[test]
-    fn hotloop_differentially_identical_to_pr4(
+    fn hotloop_identical_across_configurations(
         a in program_strategy(),
         b in program_strategy(),
     ) {
         let phases = [a, b];
         let iters = 6;
         let want = serial(&phases, iters);
+        let want_runs = expected_runs(&phases, iters);
+        let mut mem = [0u64; ADDRS];
+        let base = run_engine(&mut mem, &phases, iters, SchedKind::Delegation, DepsKind::WaitFree, false);
+        let base_on = run_engine(&mut mem, &phases, iters, SchedKind::Delegation, DepsKind::WaitFree, true);
         for sched in SCHEDS {
             for deps in [DepsKind::WaitFree, DepsKind::Locking] {
                 for knobs_on in [true, false] {
                     let what = format!("{sched:?}/{deps:?}/knobs={knobs_on}");
-                    let hot = run_engine(&phases, iters, sched, deps, knobs_on, false);
-                    let pr4 = run_engine(&phases, iters, sched, deps, knobs_on, true);
-                    assert_reports_equivalent(&hot.report, &pr4.report, &what);
-                    prop_assert_eq!(hot.mem, want, "hot memory differs ({})", &what);
-                    prop_assert_eq!(pr4.mem, want, "pr4 memory differs ({})", &what);
-                    prop_assert_eq!(&hot.runs, &pr4.runs, "run counts differ ({})", &what);
+                    let out = run_engine(&mut mem, &phases, iters, sched, deps, knobs_on);
+                    prop_assert_eq!(out.mem, want, "memory differs from serial ({})", &what);
+                    prop_assert_eq!(&out.runs, &want_runs, "run counts ({})", &what);
+                    assert_reports_equivalent(&base.report, &out.report, &what);
+                    let part_base = if knobs_on { &base_on } else { &base };
+                    assert_partitioning_equivalent(&part_base.report, &out.report, &what);
                 }
             }
         }
@@ -327,50 +334,37 @@ proptest! {
 }
 
 /// Property 3: a wide flat graph (≥ 4k independent tasks) partitions on
-/// first replay with zero full-frontier rescans and O(n log n) heap ops
-/// — counter-verified end to end through the engine report. The
-/// reference path pays one full-frontier rescan per pick on the same
-/// body.
+/// first replay in O(n log n) heap ops — counter-verified end to end
+/// through the engine report.
 #[test]
-fn wide_flat_graph_first_replay_has_zero_rescans() {
+fn wide_flat_graph_first_replay_partitions_in_n_log_n() {
     const N: usize = 4096;
     let cells = Box::leak(vec![0u64; N].into_boxed_slice());
     let base = SendPtr::new(cells.as_mut_ptr());
-    let run = |compat: bool| {
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(4)
-                .with_numa_nodes(2)
-                .with_replay_partitioning(true)
-                .with_replay_compat(compat),
-        );
-        rt.run_iterative(3, move |ctx| {
-            for i in 0..N {
-                let p = unsafe { base.add(i) };
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
-        })
-    };
-    let hot = run(false);
-    assert_eq!(hot.tasks, N);
-    assert_eq!(hot.replayed, 2);
-    assert_eq!(hot.frontier_rescans, 0, "zero rescans on the hot path");
+    let rt = Runtime::new(
+        RuntimeConfig::optimized()
+            .workers(4)
+            .with_numa_nodes(2)
+            .with_replay_partitioning(true),
+    );
+    let report = rt.run_iterative(3, move |ctx| {
+        for i in 0..N {
+            let p = unsafe { base.add(i) };
+            ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
+                *p.get() += 1;
+            });
+        }
+    });
+    assert_eq!(report.tasks, N);
+    assert_eq!(report.replayed, 2);
     let bound = 8 * (N as u64) * (usize::BITS - N.leading_zeros()) as u64;
     assert!(
-        hot.heap_ops > 0 && hot.heap_ops <= bound,
+        report.heap_ops > 0 && report.heap_ops <= bound,
         "heap ops {} within the O(n log n) bound {bound}",
-        hot.heap_ops
+        report.heap_ops
     );
-    let pr4 = run(true);
-    assert_eq!(
-        pr4.frontier_rescans, N as u64,
-        "reference pays one full-frontier rescan per pick"
-    );
-    assert_eq!(pr4.heap_ops, 0);
     for (i, c) in cells.iter().enumerate() {
-        assert_eq!(*c, 6, "cell {i} ran in all six iterations");
+        assert_eq!(*c, 3, "cell {i} ran in all three iterations");
     }
     unsafe { drop(Box::from_raw(cells as *mut [u64])) };
 }
