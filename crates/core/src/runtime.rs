@@ -252,19 +252,18 @@ pub struct RuntimeConfig {
     /// structural hash (`nanotask-replay`'s `GraphCache`). Values > 1
     /// let phase-alternating iterative bodies (miniAMR-style
     /// refine/coarsen cycles) replay every phase instead of re-recording
-    /// on each alternation; 1 reproduces the original single-graph
-    /// engine byte for byte (divergence discards the graph and blindly
-    /// re-records).
+    /// on each alternation; 1 keeps only the most recent graph. Every
+    /// size runs the same engine (divergence capture, cache probes,
+    /// give-up policy, nested-domain pinning).
     pub replay_cache_size: usize,
     /// After this many *consecutive* iterations that could not replay
     /// (record or divergence), the replay engine pins the body to the
     /// dependency system and stops recording. 0 disables the give-up
-    /// policy. Ignored when `replay_cache_size` is 1.
+    /// policy.
     pub replay_giveup_after: usize,
     /// While pinned, every this-many iterations the engine runs one
     /// cheap hash-only probe (no graph build) to detect that the body
-    /// re-stabilized onto a cached or repeating shape. Ignored when
-    /// `replay_cache_size` is 1.
+    /// re-stabilized onto a cached or repeating shape.
     pub replay_recheck_every: usize,
     /// NUMA-aware replay partitioning: partition every frozen replay
     /// graph across the runtime's NUMA nodes and route each released
@@ -501,8 +500,7 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the replay engine's frozen-graph cache capacity (min 1;
-    /// 1 = the original single-graph engine with no hysteresis).
+    /// Set the replay engine's frozen-graph cache capacity (min 1).
     pub fn with_replay_cache_size(mut self, n: usize) -> Self {
         self.replay_cache_size = n.max(1);
         self

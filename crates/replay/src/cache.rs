@@ -2,10 +2,9 @@
 //! structural hash, plus the one-step phase predictor the engine uses to
 //! pick the graph an alternating body will spawn *next*.
 //!
-//! The single-graph engine of PR 1 re-recorded on every structural
-//! divergence, so a body alternating between two shapes (miniAMR-style
-//! refine/coarsen phases) re-recorded every iteration and never
-//! replayed. The cache gives divergence hysteresis: a diverging
+//! With only one frozen graph, a body alternating between two shapes
+//! (miniAMR-style refine/coarsen phases) re-records every iteration and
+//! never replays. With room for every shape of the cycle, a diverging
 //! iteration first probes for an already-frozen graph that matches
 //! (by the first spawn's signature hash mid-switch, or by the full
 //! structural hash after the fact) and only re-records on a miss. Each

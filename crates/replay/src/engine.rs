@@ -2,12 +2,10 @@
 //!
 //! Iteration 0 records the body's task graph through the full dependency
 //! system; later iterations replay a frozen [`ReplayGraph`]. Frozen
-//! graphs live in a [`GraphCache`] keyed by structural hash, giving
-//! divergence *hysteresis*: a body that alternates between a small set
-//! of shapes (miniAMR-style refine/coarsen phases) re-records each shape
-//! once and then replays every phase, instead of re-recording on every
-//! alternation like the original single-graph engine
-//! (`replay_cache_size = 1` restores that behavior exactly). A body that
+//! graphs live in a [`GraphCache`] keyed by structural hash: a body that
+//! alternates between a small set of shapes (miniAMR-style
+//! refine/coarsen phases) re-records each shape once and then replays
+//! every phase, as long as the cycle fits in the cache. A body that
 //! keeps diverging is eventually *pinned* to the dependency system
 //! ([`nanotask_core::RuntimeConfig::replay_giveup_after`]), with a cheap
 //! hash-only probe every [`nanotask_core::RuntimeConfig::replay_recheck_every`]
@@ -22,6 +20,7 @@ use std::sync::Arc;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use nanotask_core::deps::reduction::ReductionInfo;
+use nanotask_core::graph::GraphEdge;
 use nanotask_core::{
     Deps, HeldTask, RunOutcome, Runtime, SpawnCapture, TaskBody, TaskCtx, TaskEpilogue, TaskId,
 };
@@ -59,8 +58,8 @@ pub struct ReplayReport {
     pub edge_list: Vec<(u32, u32)>,
     /// Successor edges the dependency system reported that involve tasks
     /// outside the captured set (nested children linking into the
-    /// recorded iteration). With a cache (`replay_cache_size > 1`) any
-    /// non-zero value pins the body to the dependency system.
+    /// recorded iteration). Any non-zero value pins the body to the
+    /// dependency system.
     pub foreign_edges: usize,
     /// Iterations served by the graph cache: fully replayed iterations
     /// plus diverged iterations whose structure matched a cached graph.
@@ -675,27 +674,23 @@ enum Mode {
     Probe {
         hash: u64,
     },
-    Feed {
-        state: Arc<IterState>,
-        next: usize,
-        diverged: bool,
-        /// The feed target was swapped mid-start: the first spawn did not
-        /// match the scheduled graph but matched another cached one.
-        switched: bool,
-        /// After a divergence (hysteresis only): the full spawn metadata
-        /// of this iteration — the fed prefix reconstructed from the
-        /// graph plus every fallback spawn — so the engine can freeze
-        /// the diverged shape without a dedicated re-record pass.
-        captured: Vec<CapturedSpawn>,
-    },
+    Feed(Feed),
 }
 
-/// Everything [`EngineCapture::end_feed`] hands back to the engine loop.
-struct FeedEnd {
+/// Feed-mode state; [`EngineCapture::end_feed`] hands it back to the
+/// engine loop.
+struct Feed {
     state: Arc<IterState>,
-    spawned: usize,
+    /// Spawns matched so far (the next graph node to feed).
+    next: usize,
     diverged: bool,
+    /// The feed target was swapped mid-start: the first spawn did not
+    /// match the scheduled graph but matched another cached one.
     switched: bool,
+    /// After a divergence: the full spawn metadata of this iteration —
+    /// the fed prefix reconstructed from the graph plus every fallback
+    /// spawn — so the engine can freeze the diverged shape without a
+    /// dedicated re-record pass.
     captured: Vec<CapturedSpawn>,
 }
 
@@ -716,11 +711,6 @@ struct EngineCapture {
     /// NUMA partitions for release routing; 0 = partitioning off
     /// ([`nanotask_core::RuntimeConfig::replay_partitioning`]).
     parts: usize,
-    /// `replay_cache_size > 1`: cache probing, divergence capture and
-    /// pinning are active. With 1 the engine is byte-identical to the
-    /// original single-graph design (divergence discards the graph and
-    /// the next iteration blindly re-records).
-    hysteresis: bool,
 }
 
 unsafe impl Send for EngineCapture {}
@@ -734,7 +724,6 @@ impl EngineCapture {
             cache: UnsafeCell::new(GraphCache::new(cache_size)),
             workers,
             parts,
-            hysteresis: cache_size > 1,
         }
     }
 
@@ -792,34 +781,21 @@ impl EngineCapture {
 
     fn set_feed(&self, state: Arc<IterState>) {
         unsafe {
-            *self.mode() = Mode::Feed {
+            *self.mode() = Mode::Feed(Feed {
                 state,
                 next: 0,
                 diverged: false,
                 switched: false,
                 captured: Vec::new(),
-            }
+            })
         };
     }
 
     /// Leave feed mode, handing back what happened (`None` if feed mode
     /// was never entered).
-    fn end_feed(&self) -> Option<FeedEnd> {
-        let mode = unsafe { self.mode() };
-        match core::mem::replace(mode, Mode::Off) {
-            Mode::Feed {
-                state,
-                next,
-                diverged,
-                switched,
-                captured,
-            } => Some(FeedEnd {
-                state,
-                spawned: next,
-                diverged,
-                switched,
-                captured,
-            }),
+    fn end_feed(&self) -> Option<Feed> {
+        match core::mem::replace(unsafe { self.mode() }, Mode::Off) {
+            Mode::Feed(feed) => Some(feed),
             _ => None,
         }
     }
@@ -855,17 +831,15 @@ impl SpawnCapture for EngineCapture {
                 *hash = chain_sig(*hash, spawn_sig_hash(label, priority, deps.decls()));
                 Some((deps, body))
             }
-            Mode::Feed {
+            Mode::Feed(Feed {
                 state,
                 next,
                 diverged,
                 switched,
                 captured,
-            } => {
+            }) => {
                 if *diverged {
-                    if self.hysteresis {
-                        captured.push(CapturedSpawn::bare(label, priority, deps.decls().to_vec()));
-                    }
+                    captured.push(CapturedSpawn::bare(label, priority, deps.decls().to_vec()));
                     return Some((deps, body));
                 }
                 let i = *next;
@@ -879,36 +853,34 @@ impl SpawnCapture for EngineCapture {
                     state.feed(&Arc::clone(state), ctx, i, body);
                     return None;
                 }
-                if i == 0 && self.hysteresis {
-                    // Nothing has been fed yet: a cached graph whose
-                    // first spawn matches can take over wholesale — the
-                    // phase-switch fast path of alternating bodies.
-                    if let Some(g) = unsafe { self.cache() }.get_by_first_sig(sig) {
-                        let st = self.make_state(g);
-                        mark_partitions(ctx, &st);
-                        *state = Arc::clone(&st);
-                        *switched = true;
-                        st.feed(&st, ctx, 0, body);
-                        return None;
-                    }
+                // Nothing has been fed yet: a cached graph whose first
+                // spawn matches can take over wholesale — the
+                // phase-switch fast path of alternating bodies.
+                if i == 0
+                    && let Some(g) = unsafe { self.cache() }.get_by_first_sig(sig)
+                {
+                    let st = self.make_state(g);
+                    mark_partitions(ctx, &st);
+                    *state = Arc::clone(&st);
+                    *switched = true;
+                    st.feed(&st, ctx, 0, body);
+                    return None;
                 }
                 // Divergence mid-iteration: wait for the already-fed
                 // prefix (its ordering was enforced by the graph), fold
                 // any partially-fed reduction groups, then let this and
                 // all later spawns go through the dependency system —
-                // conservative and correct. With hysteresis the full
-                // shape of this iteration is captured on the side so the
-                // engine can probe the cache / freeze it afterwards.
+                // conservative and correct. The full shape of this
+                // iteration is captured on the side so the engine can
+                // probe the cache / freeze it afterwards. The fed prefix
+                // references the frozen decl arena by CSR index (no
+                // cloning); only the one diverging spawn's live
+                // declarations are copied — the `deps` must proceed into
+                // the dependency system.
                 *diverged = true;
-                if self.hysteresis {
-                    // The fed prefix references the frozen decl arena by
-                    // CSR index (no cloning); only the one diverging
-                    // spawn's live declarations are copied — the `deps`
-                    // must proceed into the dependency system.
-                    let mut cv = state.graph.prefix_captured(i);
-                    cv.push(CapturedSpawn::bare(label, priority, deps.decls().to_vec()));
-                    *captured = cv;
-                }
+                let mut cv = state.graph.prefix_captured(i);
+                cv.push(CapturedSpawn::bare(label, priority, deps.decls().to_vec()));
+                *captured = cv;
                 ctx.taskwait();
                 state.combine_partial();
                 Some((deps, body))
@@ -920,6 +892,311 @@ impl SpawnCapture for EngineCapture {
         if matches!(unsafe { self.mode() }, Mode::Record) {
             self.recorder.on_spawned(id);
         }
+    }
+}
+
+/// Whether the engine has pinned the body to the dependency system.
+#[derive(Clone, Copy)]
+enum Pin {
+    /// Recording or replaying.
+    Off,
+    /// Gave up after [`nanotask_core::RuntimeConfig::replay_giveup_after`]
+    /// consecutive failures: every `replay_recheck_every` pinned
+    /// iterations a hash-only probe checks whether the body
+    /// re-stabilized. `last_hash` is the previous probe's uncached
+    /// shape; two equal probes in a row make the engine record it.
+    Probing {
+        since: usize,
+        last_hash: Option<u64>,
+    },
+    /// Nested task domains: replay can never order this body, so it is
+    /// never probed again.
+    Forever,
+}
+
+/// The per-iteration state machine of [`RunIterative::run_iterative`]:
+/// runs inside the root task, one [`Engine::step`] per iteration.
+struct Engine<'a> {
+    ctx: &'a TaskCtx<'a>,
+    cap: &'a EngineCapture,
+    report: ReplayReport,
+    /// Graph scheduled for the next iteration (`None`: record it).
+    cur: Option<Arc<ReplayGraph>>,
+    /// Last graph frozen, for the report's graph-shape fields.
+    last_graph: Option<Arc<ReplayGraph>>,
+    /// Structural hash of the previous iteration, when known (feeds the
+    /// cache's phase predictor).
+    prev_hash: Option<u64>,
+    /// Consecutive iterations that failed to replay.
+    fails: usize,
+    pin: Pin,
+    giveup_after: usize,
+    recheck_every: usize,
+    prev_graph_recording: bool,
+    feed_hist: Option<Histogram>,
+}
+
+impl<'a> Engine<'a> {
+    /// # Safety-adjacent note
+    /// Root-thread confinement: the engine loop runs in the root body, the
+    /// only thread that touches the capture's cache (see
+    /// [`EngineCapture`]); callers never hold two of these borrows.
+    fn cache(&self) -> &'a mut GraphCache {
+        unsafe { self.cap.cache() }
+    }
+
+    /// Run one iteration of `body` and classify it.
+    fn step(&mut self, iter: usize, body: &dyn Fn(&TaskCtx)) {
+        let fails0 = self.ctx.failure_count();
+        match (self.pin, self.cur.clone()) {
+            (Pin::Off, None) => self.record(iter, body),
+            (Pin::Off, Some(g)) => self.replay(iter, g, body),
+            _ => self.pinned(iter, body),
+        }
+        // Fault watch: any task-body failure recorded during this
+        // iteration invalidates the graph it ran from and drops the
+        // engine back to the dependency system — the shape re-records
+        // from a clean run on its next occurrence.
+        if self.ctx.failure_count() != fails0 {
+            self.report.faulted += 1;
+            if let Some(h) = self.prev_hash {
+                self.cache().invalidate(h);
+            }
+            self.cur = None;
+            self.prev_hash = None;
+            if let Pin::Probing { last_hash, .. } = &mut self.pin {
+                *last_hash = None;
+            }
+            // The taskwait barrier just drained every task, so the
+            // iteration boundary is safe to act as the poison-recovery
+            // point: the next iteration registers on clean addresses.
+            self.ctx.reset_fault_propagation();
+        }
+        self.report.iterations += 1;
+    }
+
+    /// Follow an iteration whose structural hash was `h`: teach the
+    /// predictor the transition, then schedule the predicted successor
+    /// phase if the cache knows one, else `g` (the graph of `h`).
+    fn adopt(&mut self, h: u64, g: Arc<ReplayGraph>) {
+        let cache = self.cache();
+        if let Some(p) = self.prev_hash {
+            cache.note_transition(p, h);
+        }
+        self.prev_hash = Some(h);
+        self.cur = Some(cache.predict_next(h).unwrap_or(g));
+    }
+
+    /// Pin the body to the dependency system: for good on nested task
+    /// domains, with periodic re-stabilization probes otherwise. The
+    /// predictor must not learn across the unobserved pinned stretch,
+    /// so the last-seen hash is forgotten too.
+    fn pin(&mut self, iter: usize, forever: bool) {
+        self.report.giveups += 1;
+        self.pin = if forever {
+            self.report.pinned_nested = true;
+            Pin::Forever
+        } else {
+            Pin::Probing {
+                since: 0,
+                last_hash: None,
+            }
+        };
+        self.cur = None;
+        self.prev_hash = None;
+        self.ctx.trace_mark(EventKind::ReplayGiveUp, iter as u64);
+    }
+
+    /// Freeze a captured iteration into a new graph (a record or a
+    /// divergence that missed the cache).
+    fn freeze(&mut self, captured: &[CapturedSpawn], tap: &[GraphEdge]) -> Arc<ReplayGraph> {
+        let t0 = std::time::Instant::now();
+        let g = Arc::new(ReplayGraph::build(captured, tap));
+        self.report.freeze_ns += t0.elapsed().as_nanos() as u64;
+        self.report.rerecords += 1;
+        self.report.cache_misses += 1;
+        self.last_graph = Some(Arc::clone(&g));
+        g
+    }
+
+    /// A pinned iteration: plain dependency-system execution, or a
+    /// cheap hash-only probe every `recheck_every` iterations.
+    fn pinned(&mut self, iter: usize, body: &dyn Fn(&TaskCtx)) {
+        self.report.pinned_iterations += 1;
+        let probe = match &mut self.pin {
+            Pin::Probing { since, last_hash } => {
+                *since += 1;
+                (*since >= self.recheck_every).then(|| {
+                    *since = 0;
+                    *last_hash
+                })
+            }
+            _ => None,
+        };
+        let Some(last) = probe else {
+            body(self.ctx);
+            self.ctx.taskwait();
+            return;
+        };
+        // Did the body re-stabilize onto a cached (or repeating) shape?
+        self.cap.set_probe();
+        body(self.ctx);
+        let h = self.cap.end_probe();
+        self.ctx.taskwait();
+        if let Some(g) = self.cache().get(h) {
+            self.ctx.trace_mark(EventKind::ReplayCacheHit, iter as u64);
+            self.adopt(h, g);
+        } else if last != Some(h) {
+            self.pin = Pin::Probing {
+                since: 0,
+                last_hash: Some(h),
+            };
+            return;
+        }
+        // Unpin: replay the cached shape, or — when two consecutive
+        // probes saw the same uncached shape — record it next iteration
+        // (`cur` is always `None` while pinned).
+        self.pin = Pin::Off;
+        self.fails = 0;
+    }
+
+    /// Record: execute through the full dependency system with the edge
+    /// tap enabled, then freeze and cache the graph — or pin for good
+    /// if the iteration used nested task domains, whose cross-sibling
+    /// dependencies the frozen graph cannot see.
+    fn record(&mut self, iter: usize, body: &dyn Fn(&TaskCtx)) {
+        let ctx = self.ctx;
+        ctx.trace_mark(EventKind::ReplayRecordBegin, iter as u64);
+        let nested0 = ctx.nested_spawn_count();
+        let _ = ctx.take_graph_edges();
+        ctx.set_graph_recording(true);
+        self.cap.set_record();
+        body(ctx);
+        let captured = self.cap.end_record();
+        ctx.taskwait();
+        ctx.set_graph_recording(self.prev_graph_recording);
+        let tap = ctx.take_graph_edges();
+        let nested = ctx.nested_spawn_count() - nested0;
+        let g = self.freeze(&captured, &tap);
+        ctx.trace_mark(EventKind::ReplayRecordEnd, g.len() as u64);
+        self.report.nested_spawns += nested;
+        self.fails += 1;
+        if g.foreign_edge_count() > 0 || nested > 0 {
+            self.pin(iter, true);
+        } else {
+            let h = g.structural_hash();
+            self.cache().insert(Arc::clone(&g));
+            self.adopt(h, g);
+        }
+    }
+
+    /// Replay: spawns are matched against the frozen graph one by one
+    /// and fed straight to it; a first-spawn mismatch may swap in
+    /// another cached graph (phase switch), any other mismatch degrades
+    /// to the dependency system.
+    fn replay(&mut self, iter: usize, g: Arc<ReplayGraph>, body: &dyn Fn(&TaskCtx)) {
+        let ctx = self.ctx;
+        ctx.trace_mark(EventKind::ReplayIterBegin, iter as u64);
+        let nested0 = ctx.nested_spawn_count();
+        let state = self.cap.make_state(g);
+        mark_partitions(ctx, &state);
+        self.cap.set_feed(state);
+        let feed_t0 = self.feed_hist.as_ref().map(|_| std::time::Instant::now());
+        body(ctx);
+        if let (Some(h), Some(t0)) = (&self.feed_hist, feed_t0) {
+            h.record(0, t0.elapsed().as_nanos() as u64);
+        }
+        let end = self.cap.end_feed().expect("feed mode active");
+        ctx.taskwait();
+        // The feed target may have been swapped by the first-spawn phase
+        // switch: count the state that actually fed (`end.state`), not
+        // the scheduled one.
+        self.report.routed_releases += end.state.routed.load(Ordering::Relaxed);
+        if let Some(p) = &end.state.part {
+            self.report.partitions = p.parts();
+            self.report.partition_cut_edges = p.cut_edges();
+        }
+        let nested = ctx.nested_spawn_count() - nested0;
+        self.report.nested_spawns += nested;
+        let (h, g, fresh) = if !end.diverged && end.next == end.state.graph.len() {
+            debug_assert_eq!(
+                end.state.launched.load(Ordering::Relaxed),
+                end.state.graph.len(),
+                "every node released exactly once"
+            );
+            self.report.replayed += 1;
+            self.report.cache_hits += 1;
+            self.fails = 0;
+            let h = end.state.graph.structural_hash();
+            self.cache().note_replay(h);
+            if end.switched {
+                ctx.trace_mark(EventKind::ReplayCacheHit, iter as u64);
+            }
+            (h, Arc::clone(&end.state.graph), false)
+        } else {
+            // Divergent (or truncated) iteration: it ran correctly via
+            // prefix + barrier + dependency system; fold any reduction
+            // groups the fed prefix touched (no-op if the divergence
+            // path already did). This iteration's full shape is known —
+            // probe the cache and only freeze a new graph on a miss.
+            end.state.combine_partial();
+            self.report.diverged += 1;
+            self.fails += 1;
+            let captured = if end.diverged {
+                end.captured
+            } else {
+                end.state.graph.prefix_captured(end.next)
+            };
+            let h = GraphRecorder::structural_hash(&captured);
+            match self.cache().get(h) {
+                Some(hit) => {
+                    self.report.cache_hits += 1;
+                    ctx.trace_mark(EventKind::ReplayCacheHit, iter as u64);
+                    (h, hit, false)
+                }
+                None => (h, self.freeze(&captured, &[]), true),
+            }
+        };
+        if nested > 0 {
+            // The body started spawning nested children only *after*
+            // its graph was frozen: replay cannot order them, so stop
+            // replaying from here on.
+            self.pin(iter, true);
+        } else {
+            if fresh {
+                self.cache().insert(Arc::clone(&g));
+            }
+            self.adopt(h, g);
+        }
+        // Too many consecutive failures to replay (never after a full
+        // replay, which resets `fails`): stop paying record costs.
+        let give_up = self.giveup_after > 0 && self.fails >= self.giveup_after;
+        if give_up && matches!(self.pin, Pin::Off) {
+            self.pin(iter, false);
+        }
+        ctx.trace_mark(EventKind::ReplayIterEnd, iter as u64);
+    }
+
+    /// The finished run's report: graph shape of the last frozen graph
+    /// plus the cache's counters.
+    fn finish(self) -> ReplayReport {
+        let cache = self.cache();
+        let mut report = self.report;
+        if let Some(g) = self.last_graph {
+            report.tasks = g.len();
+            report.edges = g.edge_count();
+            report.edge_list = g.edge_pairs();
+            report.foreign_edges = g.foreign_edge_count();
+            report.graph_bytes = g.bytes();
+        }
+        report.cache_evictions = cache.evictions();
+        report.per_graph_replays = cache.per_graph_replays();
+        let (heap_ops, seeds, seed_reused, seed_total) = cache.partition_stats();
+        report.heap_ops = heap_ops;
+        report.partition_seeds = seeds;
+        report.partition_seed_reused = seed_reused;
+        report.partition_seed_total = seed_total;
+        report
     }
 }
 
@@ -945,355 +1222,51 @@ impl RunIterative for Runtime {
             return (ReplayReport::default(), RunOutcome::default());
         }
         let cfg = self.config();
-        let workers = cfg.workers;
-        let cache_size = cfg.replay_cache_size.max(1);
-        let giveup_after = cfg.replay_giveup_after;
-        let recheck_every = cfg.replay_recheck_every.max(1);
-        let hysteresis = cache_size > 1;
         // NUMA-aware replay partitioning: one partition per node of the
-        // runtime's topology. 0 disables routing entirely (the release
-        // path stays byte-identical to the unpartitioned engine).
+        // runtime's topology. 0 disables routing entirely.
         let parts = if cfg.replay_partitioning {
             self.topology().nodes()
         } else {
             0
         };
-
-        let body = Arc::new(body);
-        let capture = Arc::new(EngineCapture::new(workers, cache_size, parts));
+        let capture = Arc::new(EngineCapture::new(
+            cfg.workers,
+            cfg.replay_cache_size,
+            parts,
+        ));
         self.set_spawn_capture(Some(Arc::clone(&capture) as _));
         let prev_graph_recording = self.graph_recording();
         self.clear_graph_edges();
         let obs = ReplayObs::new(self.metrics_registry());
         let recycled0 = self.tasks_recycled();
-        let feed_hist = if self.metrics_enabled() {
-            Some(obs.feed_ns.clone())
-        } else {
-            None
-        };
+        let feed_hist = self.metrics_enabled().then(|| obs.feed_ns.clone());
+        let (giveup_after, recheck_every) =
+            (cfg.replay_giveup_after, cfg.replay_recheck_every.max(1));
 
         // All iterations run inside ONE root task, separated by taskwait
         // barriers: workers never tear down between iterations, which
         // keeps the per-iteration overhead to the barrier itself.
         let out: Arc<std::sync::Mutex<ReplayReport>> = Arc::default();
         let result = Arc::clone(&out);
-        let cap = Arc::clone(&capture);
         let outcome = self.run_outcome(move |ctx| {
-            // SAFETY (all `cap.cache()` calls below): root-thread
-            // confinement — this closure is the root body.
-            macro_rules! cache {
-                () => {
-                    unsafe { cap.cache() }
-                };
-            }
-            /// The graph to schedule after finishing an iteration with
-            /// structural hash `h`: the predicted successor phase if the
-            /// cache knows one, else the graph of `h` itself.
-            fn pick_next(
-                cache: &mut GraphCache,
-                h: u64,
-                fallback: Arc<ReplayGraph>,
-            ) -> Arc<ReplayGraph> {
-                cache.predict_next(h).unwrap_or(fallback)
-            }
-
-            let mut cur: Option<Arc<ReplayGraph>> = None;
-            let mut last_graph: Option<Arc<ReplayGraph>> = None;
-            // Structural hash of the previous iteration, when known
-            // (feeds the cache's phase predictor).
-            let mut prev_hash: Option<u64> = None;
-            // Consecutive iterations that failed to replay.
-            let mut fails = 0usize;
-            let mut pinned = false;
-            // Nested-domain pins are permanent: no re-stabilization
-            // probes, replay can never be safe for this body.
-            let mut pinned_forever = false;
-            let mut since_probe = 0usize;
-            let mut last_probe_hash: Option<u64> = None;
-            let mut report = ReplayReport::default();
-
+            let mut engine = Engine {
+                ctx,
+                cap: &capture,
+                report: ReplayReport::default(),
+                cur: None,
+                last_graph: None,
+                prev_hash: None,
+                fails: 0,
+                pin: Pin::Off,
+                giveup_after,
+                recheck_every,
+                prev_graph_recording,
+                feed_hist,
+            };
             for iter in 0..iters {
-                // Fault watch: any task-body failure recorded during
-                // this iteration invalidates the graph it ran from and
-                // drops the engine back to the dependency system — the
-                // shape re-records from a clean run on its next
-                // occurrence.
-                let fails0 = ctx.failure_count();
-                macro_rules! check_faults {
-                    () => {
-                        if ctx.failure_count() != fails0 {
-                            report.faulted += 1;
-                            if let Some(h) = prev_hash {
-                                cache!().invalidate(h);
-                            }
-                            cur = None;
-                            prev_hash = None;
-                            last_probe_hash = None;
-                            // The taskwait barrier just drained every
-                            // task, so the iteration boundary is safe to
-                            // act as the poison-recovery point: the next
-                            // iteration registers on clean addresses.
-                            ctx.reset_fault_propagation();
-                        }
-                    };
-                }
-                if pinned {
-                    report.pinned_iterations += 1;
-                    since_probe += 1;
-                    if !pinned_forever && since_probe >= recheck_every {
-                        // Cheap hash-only probe: did the body
-                        // re-stabilize onto a cached (or repeating)
-                        // shape?
-                        since_probe = 0;
-                        cap.set_probe();
-                        body(ctx);
-                        let h = cap.end_probe();
-                        ctx.taskwait();
-                        if let Some(g) = cache!().get(h) {
-                            ctx.trace_mark(EventKind::ReplayCacheHit, iter as u64);
-                            if let Some(p) = prev_hash {
-                                cache!().note_transition(p, h);
-                            }
-                            prev_hash = Some(h);
-                            cur = Some(pick_next(cache!(), h, g));
-                            pinned = false;
-                            fails = 0;
-                            last_probe_hash = None;
-                        } else if last_probe_hash == Some(h) {
-                            // Two consecutive probes saw the same
-                            // uncached shape: record it next iteration.
-                            cur = None;
-                            prev_hash = None;
-                            pinned = false;
-                            fails = 0;
-                            last_probe_hash = None;
-                        } else {
-                            last_probe_hash = Some(h);
-                        }
-                    } else {
-                        // Plain dependency-system iteration, capture off.
-                        body(ctx);
-                        ctx.taskwait();
-                    }
-                    check_faults!();
-                    report.iterations += 1;
-                    continue;
-                }
-                match cur.clone() {
-                    None => {
-                        // Record: execute through the full dependency
-                        // system with the edge tap enabled.
-                        ctx.trace_mark(EventKind::ReplayRecordBegin, iter as u64);
-                        let nested0 = ctx.nested_spawn_count();
-                        let _ = ctx.take_graph_edges();
-                        ctx.set_graph_recording(true);
-                        cap.set_record();
-                        body(ctx);
-                        let captured = cap.end_record();
-                        ctx.taskwait();
-                        ctx.set_graph_recording(prev_graph_recording);
-                        let tap = ctx.take_graph_edges();
-                        let nested = ctx.nested_spawn_count() - nested0;
-                        let freeze_t0 = std::time::Instant::now();
-                        let g = Arc::new(ReplayGraph::build(&captured, &tap));
-                        report.freeze_ns += freeze_t0.elapsed().as_nanos() as u64;
-                        ctx.trace_mark(EventKind::ReplayRecordEnd, g.len() as u64);
-                        report.rerecords += 1;
-                        report.cache_misses += 1;
-                        report.nested_spawns += nested;
-                        fails += 1;
-                        last_graph = Some(Arc::clone(&g));
-                        if hysteresis && (g.foreign_edge_count() > 0 || nested > 0) {
-                            // Nested task domains: the frozen graph
-                            // cannot see cross-sibling dependencies of
-                            // nested tasks — fall back permanently.
-                            report.pinned_nested = true;
-                            report.giveups += 1;
-                            pinned = true;
-                            pinned_forever = true;
-                            cur = None;
-                            prev_hash = None;
-                            ctx.trace_mark(EventKind::ReplayGiveUp, iter as u64);
-                        } else {
-                            let h = g.structural_hash();
-                            if hysteresis && let Some(p) = prev_hash {
-                                cache!().note_transition(p, h);
-                            }
-                            cache!().insert(Arc::clone(&g));
-                            prev_hash = Some(h);
-                            cur = Some(if hysteresis {
-                                pick_next(cache!(), h, g)
-                            } else {
-                                g
-                            });
-                        }
-                    }
-                    Some(g) => {
-                        // Replay: spawns are matched against the frozen
-                        // graph one by one and fed straight to it; a
-                        // first-spawn mismatch may swap in another cached
-                        // graph (phase switch), any other mismatch
-                        // degrades to the dependency system.
-                        ctx.trace_mark(EventKind::ReplayIterBegin, iter as u64);
-                        let nested0 = ctx.nested_spawn_count();
-                        let state = cap.make_state(g);
-                        mark_partitions(ctx, &state);
-                        cap.set_feed(Arc::clone(&state));
-                        let feed_t0 = feed_hist.as_ref().map(|_| std::time::Instant::now());
-                        body(ctx);
-                        if let (Some(h), Some(t0)) = (&feed_hist, feed_t0) {
-                            h.record(0, t0.elapsed().as_nanos() as u64);
-                        }
-                        let end = cap.end_feed().expect("feed mode active");
-                        ctx.taskwait();
-                        // The feed target may have been swapped by the
-                        // first-spawn phase switch: count the state that
-                        // actually fed (`end.state`), not the scheduled
-                        // one.
-                        report.routed_releases += end.state.routed.load(Ordering::Relaxed);
-                        if let Some(p) = &end.state.part {
-                            report.partitions = p.parts();
-                            report.partition_cut_edges = p.cut_edges();
-                        }
-                        let complete = !end.diverged && end.spawned == end.state.graph.len();
-                        let nested = ctx.nested_spawn_count() - nested0;
-                        // Macro (not a closure: it mutates half the loop
-                        // state) for the permanent nested-domain pin —
-                        // shared by every path that observes nesting.
-                        macro_rules! pin_nested {
-                            () => {{
-                                report.nested_spawns += nested;
-                                report.pinned_nested = true;
-                                report.giveups += 1;
-                                pinned = true;
-                                pinned_forever = true;
-                                cur = None;
-                                prev_hash = None;
-                                ctx.trace_mark(EventKind::ReplayGiveUp, iter as u64);
-                            }};
-                        }
-                        if complete {
-                            debug_assert_eq!(
-                                end.state.launched.load(Ordering::Relaxed),
-                                end.state.graph.len(),
-                                "every node released exactly once"
-                            );
-                            report.replayed += 1;
-                            report.cache_hits += 1;
-                            fails = 0;
-                            let h = end.state.graph.structural_hash();
-                            cache!().note_replay(h);
-                            if end.switched {
-                                ctx.trace_mark(EventKind::ReplayCacheHit, iter as u64);
-                            }
-                            if hysteresis && nested > 0 {
-                                // The body started spawning nested
-                                // children only *after* its graph was
-                                // frozen: replay cannot order them, so
-                                // stop replaying from here on.
-                                pin_nested!();
-                            } else if hysteresis {
-                                if let Some(p) = prev_hash {
-                                    cache!().note_transition(p, h);
-                                }
-                                cur = Some(pick_next(cache!(), h, Arc::clone(&end.state.graph)));
-                                prev_hash = Some(h);
-                            } else {
-                                prev_hash = Some(h);
-                            }
-                        } else {
-                            // Divergent (or truncated) iteration: it ran
-                            // correctly via prefix + barrier + dependency
-                            // system; fold any reduction groups the fed
-                            // prefix touched (no-op if the divergence
-                            // path already did).
-                            end.state.combine_partial();
-                            report.diverged += 1;
-                            fails += 1;
-                            if !hysteresis {
-                                // Original single-graph engine: discard
-                                // and blindly re-record next iteration.
-                                report.cache_misses += 1;
-                                cur = None;
-                                prev_hash = None;
-                            } else {
-                                // Hysteresis: this iteration's full
-                                // shape is known — probe the cache and
-                                // only freeze a new graph on a miss.
-                                let captured = if end.diverged {
-                                    end.captured
-                                } else {
-                                    end.state.graph.prefix_captured(end.spawned)
-                                };
-                                let h = GraphRecorder::structural_hash(&captured);
-                                if let Some(hit) = cache!().get(h) {
-                                    report.cache_hits += 1;
-                                    ctx.trace_mark(EventKind::ReplayCacheHit, iter as u64);
-                                    if nested > 0 {
-                                        pin_nested!();
-                                    } else {
-                                        if let Some(p) = prev_hash {
-                                            cache!().note_transition(p, h);
-                                        }
-                                        prev_hash = Some(h);
-                                        cur = Some(pick_next(cache!(), h, hit));
-                                    }
-                                } else {
-                                    report.rerecords += 1;
-                                    report.cache_misses += 1;
-                                    let freeze_t0 = std::time::Instant::now();
-                                    let ng = Arc::new(ReplayGraph::build(&captured, &[]));
-                                    report.freeze_ns += freeze_t0.elapsed().as_nanos() as u64;
-                                    last_graph = Some(Arc::clone(&ng));
-                                    if nested > 0 {
-                                        pin_nested!();
-                                    } else {
-                                        if let Some(p) = prev_hash {
-                                            cache!().note_transition(p, h);
-                                        }
-                                        cache!().insert(Arc::clone(&ng));
-                                        prev_hash = Some(h);
-                                        cur = Some(pick_next(cache!(), h, ng));
-                                    }
-                                }
-                                if !pinned && giveup_after > 0 && fails >= giveup_after {
-                                    // Too many consecutive failures to
-                                    // replay: stop paying record costs,
-                                    // pin to the dependency system. The
-                                    // predictor must not learn across
-                                    // the unobserved pinned stretch, so
-                                    // forget the last-seen hash too.
-                                    report.giveups += 1;
-                                    pinned = true;
-                                    since_probe = 0;
-                                    last_probe_hash = None;
-                                    cur = None;
-                                    prev_hash = None;
-                                    ctx.trace_mark(EventKind::ReplayGiveUp, iter as u64);
-                                }
-                            }
-                        }
-                        ctx.trace_mark(EventKind::ReplayIterEnd, iter as u64);
-                    }
-                }
-                check_faults!();
-                report.iterations += 1;
+                engine.step(iter, &body);
             }
-            if let Some(g) = last_graph {
-                report.tasks = g.len();
-                report.edges = g.edge_count();
-                report.edge_list = g.edge_pairs();
-                report.foreign_edges = g.foreign_edge_count();
-                report.graph_bytes = g.bytes();
-            }
-            report.cache_evictions = cache!().evictions();
-            report.per_graph_replays = cache!().per_graph_replays();
-            let (heap_ops, seeds, seed_reused, seed_total) = cache!().partition_stats();
-            report.heap_ops = heap_ops;
-            report.partition_seeds = seeds;
-            report.partition_seed_reused = seed_reused;
-            report.partition_seed_total = seed_total;
-            *result.lock().unwrap() = report;
+            *result.lock().unwrap() = engine.finish();
         });
         self.set_spawn_capture(None);
         let mut report = Arc::try_unwrap(out)
@@ -1315,13 +1288,6 @@ mod tests {
     use nanotask_core::{RuntimeConfig, SendPtr};
     use std::sync::atomic::AtomicU64;
 
-    /// Every iteration must be classified exactly once — asserted by the
-    /// report itself ([`ReplayReport::assert_classification`]), in one
-    /// place instead of per-test copies.
-    fn check_invariants(report: &ReplayReport) {
-        report.assert_classification();
-    }
-
     #[test]
     fn empty_iterations_are_fine() {
         let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
@@ -1329,7 +1295,7 @@ mod tests {
         assert_eq!(report.iterations, 3);
         assert_eq!(report.replayed, 2);
         assert_eq!(report.tasks, 0);
-        check_invariants(&report);
+        report.assert_classification();
     }
 
     #[test]
@@ -1363,7 +1329,7 @@ mod tests {
         assert_eq!(report.per_graph_replays.len(), 1);
         assert_eq!(report.per_graph_replays[0].1, 10, "tasks per graph");
         assert_eq!(report.per_graph_replays[0].2, 4, "replays of the graph");
-        check_invariants(&report);
+        report.assert_classification();
         unsafe { drop(Box::from_raw(data)) };
     }
 
@@ -1383,7 +1349,7 @@ mod tests {
                 });
             }
         });
-        check_invariants(&report);
+        report.assert_classification();
         let snap = rt.metrics_snapshot();
         let pairs: [(&str, u64); 10] = [
             ("nanotask_replay_iterations_total", report.iterations as u64),
@@ -1465,7 +1431,7 @@ mod tests {
         });
         assert_eq!(count.load(Ordering::Relaxed), 4 * 32);
         assert_eq!(report.edges, 0);
-        check_invariants(&report);
+        report.assert_classification();
     }
 
     #[test]
@@ -1495,10 +1461,11 @@ mod tests {
 
     #[test]
     fn single_graph_mode_falls_back_and_rerecords() {
-        // `replay_cache_size = 1` must reproduce the original engine
-        // byte for byte: every divergence discards the graph and blindly
-        // re-records on the next iteration — the alternating body never
-        // replays.
+        // A one-entry cache holds only the previous iteration's graph:
+        // iteration 0 records A, and each of iterations 1..5 diverges at
+        // its first spawn, misses, freezes its own shape and evicts the
+        // other — 1 + 5 = 6 re-records, 5 divergences, 5 evictions. Six
+        // consecutive failures stay below the default give-up of 8.
         let rt = Runtime::new(
             RuntimeConfig::optimized()
                 .workers(2)
@@ -1519,12 +1486,12 @@ mod tests {
         });
         assert_eq!(unsafe { (*a, *b) }, (12, 12));
         assert_eq!(report.iterations, 6);
-        // Records on iterations 0/2/4, divergent fallbacks on 1/3/5.
-        assert_eq!(report.rerecords, 3);
-        assert_eq!(report.diverged, 3);
-        assert_eq!(report.replayed, 0);
-        assert_eq!(report.pinned_iterations, 0, "no give-up policy at size 1");
-        check_invariants(&report);
+        assert_eq!(report.rerecords, 6, "{report}");
+        assert_eq!(report.diverged, 5, "{report}");
+        assert_eq!(report.replayed, 0, "{report}");
+        assert_eq!(report.cache_evictions, 5, "{report}");
+        assert_eq!(report.pinned_iterations, 0, "below the give-up threshold");
+        report.assert_classification();
         unsafe {
             drop(Box::from_raw(a));
             drop(Box::from_raw(b));
@@ -1533,9 +1500,9 @@ mod tests {
 
     #[test]
     fn alternating_body_served_from_cache() {
-        // The same alternating body as the single-graph test, with the
+        // The same alternating body as the capacity-1 test, with the
         // default cache: each phase records once, then every iteration
-        // replays — the divergence hysteresis this PR is about.
+        // replays.
         let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
         let a = Box::leak(Box::new(0u64)) as *mut u64;
         let b = Box::leak(Box::new(0u64)) as *mut u64;
@@ -1560,7 +1527,7 @@ mod tests {
         assert_eq!(report.per_graph_replays.len(), 2);
         let total: u64 = report.per_graph_replays.iter().map(|&(_, _, r)| r).sum();
         assert_eq!(total, 6);
-        check_invariants(&report);
+        report.assert_classification();
         unsafe {
             drop(Box::from_raw(a));
             drop(Box::from_raw(b));
@@ -1595,7 +1562,7 @@ mod tests {
         assert_eq!(report.rerecords, 2, "each phase recorded exactly once");
         assert_eq!(report.diverged, 2, "one flip per direction, then steady");
         assert_eq!(report.replayed, 7, "iterations 3.. replay via prediction");
-        check_invariants(&report);
+        report.assert_classification();
         unsafe {
             drop(Box::from_raw(a));
             drop(Box::from_raw(b));
@@ -1626,7 +1593,7 @@ mod tests {
         assert_eq!(report.diverged, 2);
         assert_eq!(report.rerecords, 2);
         assert_eq!(report.cache_hits, 1);
-        check_invariants(&report);
+        report.assert_classification();
         unsafe { drop(Box::from_raw(data)) };
     }
 
@@ -1713,7 +1680,7 @@ mod tests {
         assert_eq!(report.diverged, 2);
         assert_eq!(report.rerecords, 2);
         assert_eq!(report.cache_hits, 1, "iteration 2 matches the recording");
-        check_invariants(&report);
+        report.assert_classification();
         unsafe {
             drop(Box::from_raw(acc));
             drop(Box::from_raw(other));
@@ -1753,7 +1720,7 @@ mod tests {
         // the run is pinned.
         assert_eq!(report.rerecords, 3);
         assert_eq!(report.pinned_iterations, ITERS - 3);
-        check_invariants(&report);
+        report.assert_classification();
         unsafe { drop(Box::from_raw(slots as *mut [u64])) };
     }
 
@@ -1797,7 +1764,7 @@ mod tests {
         assert_eq!(report.replayed, 3);
         assert_eq!(report.pinned_iterations, 2);
         assert!(!report.pinned_nested);
-        check_invariants(&report);
+        report.assert_classification();
         unsafe {
             drop(Box::from_raw(a));
             drop(Box::from_raw(noise as *mut [u64]));
@@ -1808,29 +1775,36 @@ mod tests {
     fn nested_spawning_body_is_pinned_not_replayed() {
         // Replay cannot see cross-sibling dependencies of nested tasks,
         // so a body whose tasks spawn children must be pinned to the
-        // dependency system after the record iteration detects nesting.
+        // dependency system after the record iteration detects nesting
+        // — at every cache size, a single-entry cache included.
         const ITERS: usize = 5;
-        let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
-        let count = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&count);
-        let report = rt.run_iterative(ITERS, move |ctx| {
-            for _ in 0..3 {
-                let c = Arc::clone(&c);
-                ctx.spawn(Deps::new(), move |tc| {
+        for cache in [1, 4] {
+            let rt = Runtime::new(
+                RuntimeConfig::optimized()
+                    .workers(2)
+                    .with_replay_cache_size(cache),
+            );
+            let count = Arc::new(AtomicU64::new(0));
+            let c = Arc::clone(&count);
+            let report = rt.run_iterative(ITERS, move |ctx| {
+                for _ in 0..3 {
                     let c = Arc::clone(&c);
-                    tc.spawn(Deps::new(), move |_| {
-                        c.fetch_add(1, Ordering::Relaxed);
+                    ctx.spawn(Deps::new(), move |tc| {
+                        let c = Arc::clone(&c);
+                        tc.spawn(Deps::new(), move |_| {
+                            c.fetch_add(1, Ordering::Relaxed);
+                        });
                     });
-                });
-            }
-        });
-        assert_eq!(count.load(Ordering::Relaxed), (3 * ITERS) as u64);
-        assert!(report.pinned_nested, "nested domains force fallback");
-        assert!(report.nested_spawns >= 3);
-        assert_eq!(report.replayed, 0);
-        assert_eq!(report.rerecords, 1);
-        assert_eq!(report.pinned_iterations, ITERS - 1);
-        check_invariants(&report);
+                }
+            });
+            assert_eq!(count.load(Ordering::Relaxed), (3 * ITERS) as u64);
+            assert!(report.pinned_nested, "cache={cache}: {report}");
+            assert!(report.nested_spawns >= 3, "cache={cache}: {report}");
+            assert_eq!(report.replayed, 0, "cache={cache}: {report}");
+            assert_eq!(report.rerecords, 1, "cache={cache}: {report}");
+            assert_eq!(report.pinned_iterations, ITERS - 1, "cache={cache}");
+            report.assert_classification();
+        }
     }
 
     #[test]
@@ -1838,39 +1812,46 @@ mod tests {
         // Nested children appear only *after* the graph was recorded
         // (record saw no nesting, so the graph got cached): the replay
         // path must notice the nested-spawn delta and pin, not keep
-        // replaying a graph that cannot order the children.
+        // replaying a graph that cannot order the children — at every
+        // cache size.
         const ITERS: usize = 6;
-        let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
-        let count = Arc::new(AtomicU64::new(0));
-        let iter = Arc::new(AtomicU64::new(0));
-        let report = {
-            let (count, iter) = (Arc::clone(&count), Arc::clone(&iter));
-            rt.run_iterative(ITERS, move |ctx| {
-                let i = iter.fetch_add(1, Ordering::Relaxed);
-                for _ in 0..2 {
-                    let count = Arc::clone(&count);
-                    ctx.spawn(Deps::new(), move |tc| {
-                        if i >= 2 {
-                            let count = Arc::clone(&count);
-                            tc.spawn(Deps::new(), move |_| {
+        for cache in [1, 4] {
+            let rt = Runtime::new(
+                RuntimeConfig::optimized()
+                    .workers(2)
+                    .with_replay_cache_size(cache),
+            );
+            let count = Arc::new(AtomicU64::new(0));
+            let iter = Arc::new(AtomicU64::new(0));
+            let report = {
+                let (count, iter) = (Arc::clone(&count), Arc::clone(&iter));
+                rt.run_iterative(ITERS, move |ctx| {
+                    let i = iter.fetch_add(1, Ordering::Relaxed);
+                    for _ in 0..2 {
+                        let count = Arc::clone(&count);
+                        ctx.spawn(Deps::new(), move |tc| {
+                            if i >= 2 {
+                                let count = Arc::clone(&count);
+                                tc.spawn(Deps::new(), move |_| {
+                                    count.fetch_add(1, Ordering::Relaxed);
+                                });
+                            } else {
                                 count.fetch_add(1, Ordering::Relaxed);
-                            });
-                        } else {
-                            count.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
-            })
-        };
-        assert_eq!(count.load(Ordering::Relaxed), (2 * ITERS) as u64);
-        // Iterations 0/1 record + replay cleanly; iteration 2 replays
-        // but observes nested spawns and pins; 3.. stay pinned.
-        assert!(report.pinned_nested, "{report:?}");
-        assert_eq!(report.nested_spawns, 2, "{report:?}");
-        assert_eq!(report.replayed, 2, "{report:?}");
-        assert_eq!(report.pinned_iterations, ITERS - 3, "{report:?}");
-        assert_eq!(report.giveups, 1);
-        check_invariants(&report);
+                            }
+                        });
+                    }
+                })
+            };
+            assert_eq!(count.load(Ordering::Relaxed), (2 * ITERS) as u64);
+            // Iterations 0/1 record + replay cleanly; iteration 2 replays
+            // but observes nested spawns and pins; 3.. stay pinned.
+            assert!(report.pinned_nested, "cache={cache}: {report:?}");
+            assert_eq!(report.nested_spawns, 2, "cache={cache}: {report:?}");
+            assert_eq!(report.replayed, 2, "cache={cache}: {report:?}");
+            assert_eq!(report.pinned_iterations, ITERS - 3, "cache={cache}");
+            assert_eq!(report.giveups, 1, "cache={cache}");
+            report.assert_classification();
+        }
     }
 
     #[test]
@@ -1903,9 +1884,10 @@ mod tests {
 
     #[test]
     fn divergent_replay_correct_under_fast_path() {
-        // Single-graph mode: divergence mid-iteration taskwaits on the
-        // fed prefix every other iteration — the deferred-release flush
-        // at taskwait entry must make that safe, repeatedly.
+        // One-entry cache: iterations 1..5 each diverge (as in
+        // `single_graph_mode_falls_back_and_rerecords`) and taskwait on
+        // the fed prefix — the deferred-release flush at taskwait entry
+        // must make that safe, repeatedly.
         let rt = Runtime::new(
             nanotask_core::RuntimeConfig::optimized()
                 .workers(2)
@@ -1926,7 +1908,7 @@ mod tests {
             }
         });
         assert_eq!(unsafe { (*a, *b) }, (12, 12));
-        assert_eq!(report.diverged, 3);
+        assert_eq!(report.diverged, 5, "{report}");
         assert_eq!(rt.live_tasks(), 0);
         unsafe {
             drop(Box::from_raw(a));
@@ -1962,7 +1944,7 @@ mod tests {
         assert_eq!(report.diverged, 1);
         assert_eq!(report.replayed, 4);
         assert_eq!(rt.live_tasks(), 0);
-        check_invariants(&report);
+        report.assert_classification();
         unsafe {
             drop(Box::from_raw(a));
             drop(Box::from_raw(b));
@@ -2022,7 +2004,7 @@ mod tests {
             "a split chain feeds both node buffers: {:?}",
             rr.node_stats
         );
-        check_invariants(&report);
+        report.assert_classification();
         assert_eq!(rt.live_tasks(), 0);
         unsafe { drop(Box::from_raw(data)) };
     }
@@ -2045,7 +2027,7 @@ mod tests {
         let rr = rt.run_report();
         assert_eq!(rr.sched.targeted_batch_adds, 0, "no targeted inserts");
         assert_eq!(rr.sched.targeted_tasks, 0);
-        check_invariants(&report);
+        report.assert_classification();
         unsafe { drop(Box::from_raw(data)) };
     }
 
@@ -2077,7 +2059,7 @@ mod tests {
         assert_eq!(unsafe { (*a, *b) }, (24, 24));
         assert_eq!(report.partitions, 2);
         assert!(report.routed_releases > 0, "{report}");
-        check_invariants(&report);
+        report.assert_classification();
         assert_eq!(rt.live_tasks(), 0);
         unsafe {
             drop(Box::from_raw(a));
@@ -2149,7 +2131,7 @@ mod tests {
             rr.sched.inline_routed <= report.routed_releases,
             "inline-kept releases are a subset of routed releases"
         );
-        check_invariants(&report);
+        report.assert_classification();
         assert_eq!(rt.live_tasks(), 0);
         unsafe { drop(Box::from_raw(data)) };
     }
@@ -2189,7 +2171,7 @@ mod tests {
             report.partition_seed_reused, report.partition_seed_total,
             "unchanged graphs reuse the full assignment: {report}"
         );
-        check_invariants(&report);
+        report.assert_classification();
         unsafe { drop(Box::from_raw(slots as *mut [u64])) };
     }
 
@@ -2256,7 +2238,7 @@ mod tests {
         }
         assert!(report.cache_evictions > 0, "{report:?}");
         assert_eq!(report.pinned_iterations, 0, "give-up disabled");
-        check_invariants(&report);
+        report.assert_classification();
         unsafe { drop(Box::from_raw(slots as *mut [u64])) };
     }
 
@@ -2301,7 +2283,7 @@ mod tests {
         assert_eq!(rt.live_tasks(), 0, "no leaked tasks");
         let s = rt.stats();
         assert_eq!(s.tasks_created, s.tasks_freed);
-        check_invariants(&report);
+        report.assert_classification();
         unsafe { drop(Box::from_raw(data)) };
     }
 
@@ -2340,7 +2322,7 @@ mod tests {
         assert_eq!(report.rerecords, 2, "{report}");
         assert_eq!(report.replayed, 2, "{report}");
         assert_eq!(rt.live_tasks(), 0);
-        check_invariants(&report);
+        report.assert_classification();
         // A later infallible run on the same runtime is clean.
         let report = rt.run_iterative(2, move |ctx| {
             ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
@@ -2387,7 +2369,7 @@ mod tests {
         assert_eq!(outcome.tasks_cancelled, 5);
         assert_eq!(report.faulted, 1);
         assert_eq!(rt.live_tasks(), 0);
-        check_invariants(&report);
+        report.assert_classification();
         unsafe { drop(Box::from_raw(data)) };
     }
 }

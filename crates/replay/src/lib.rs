@@ -36,8 +36,7 @@
 //!
 //! Divergence is detected by a cheap structural hash (a word-folded
 //! multiply-rotate hash over labels, priorities and access sets, in
-//! creation order) and handled
-//! with *hysteresis*: up to [`nanotask_core::RuntimeConfig::replay_cache_size`]
+//! creation order). Up to [`nanotask_core::RuntimeConfig::replay_cache_size`]
 //! frozen graphs are kept in a [`GraphCache`] keyed by that hash, so a
 //! body alternating between a few shapes (miniAMR-style refine/coarsen
 //! phases) records each shape once and then replays every phase — a
@@ -52,9 +51,8 @@
 //! via foreign dependency edges plus the runtime's nested-spawn counter
 //! — is pinned immediately. Correctness never depends on the graphs
 //! actually matching: a divergent iteration awaits its replayed prefix
-//! and runs the rest through the dependency system.
-//! `replay_cache_size = 1` restores the original single-graph engine
-//! (discard on divergence, blind re-record) byte for byte.
+//! and runs the rest through the dependency system. Every cache size
+//! runs this one engine; a size of 1 is simply an LRU of one graph.
 //!
 //! The public surface is the [`RunIterative`] extension trait:
 //!
@@ -94,11 +92,7 @@
 //!   iteration is a known hazard window: a nested child conflicting
 //!   with a *replayed root* task is unordered during it (the root
 //!   bypassed dependency registration), unlike at record time where the
-//!   dependency system ordered both. Two carve-outs are deliberate:
-//!   `replay_cache_size = 1` reproduces the original engine byte for
-//!   byte *including* its no-pinning nested-domain limitation, and the
-//!   hazard window above. *Recording* nested domains (which would close
-//!   both) remains open — see ROADMAP "taskwait nesting".
+//!   dependency system ordered both. Closing that window is open work.
 //! * Iteration boundaries are barriers: replay trades the dependency
 //!   system's cross-iteration pipelining for zero dependency-system
 //!   cost, which is the winning trade at fine granularity (the

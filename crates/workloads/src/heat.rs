@@ -222,8 +222,8 @@ impl Heat {
     /// regardless of the phase pattern. Returns the full
     /// [`nanotask_replay::ReplayReport`]: with a graph cache of at least
     /// `sizes.len()` each shape records once and all later timesteps
-    /// replay; with `replay_cache_size = 1` every phase change
-    /// re-records (the pre-cache engine).
+    /// replay; a smaller cache evicts the shape that comes next, so
+    /// every phase change re-records.
     pub fn run_phased_replay(
         &mut self,
         rt: &Runtime,
@@ -286,8 +286,13 @@ mod tests {
         let mut w = Heat::new(1).with_steps(6);
         let report = w.run_phased_replay(&rt, &[8, 16]);
         w.verify().unwrap();
-        assert_eq!(report.replayed, 0);
-        assert_eq!(report.rerecords, 3);
+        // A one-entry cache holds only the previous step's shape: step 0
+        // records, steps 1..5 each diverge, miss and re-record — 6
+        // re-records, below the default give-up threshold of 8.
+        assert_eq!(report.replayed, 0, "{report}");
+        assert_eq!(report.rerecords, 6, "{report}");
+        assert_eq!(report.diverged, 5, "{report}");
+        assert_eq!(report.pinned_iterations, 0, "{report}");
     }
 
     #[test]

@@ -357,7 +357,7 @@ mod tests {
 
     #[test]
     fn replay_single_graph_mode_rerecords_every_phase_change() {
-        // The pre-cache engine: every phase change discards the graph.
+        // A one-entry cache: every phase change evicts the only graph.
         let rt = Runtime::new(
             RuntimeConfig::optimized()
                 .workers(3)
@@ -366,8 +366,14 @@ mod tests {
         let mut w = MiniAmr::new(1);
         let report = w.run_replay_report(&rt, 64);
         w.verify().unwrap();
-        assert_eq!(report.replayed, 0, "phases always diverge without a cache");
-        assert_eq!(report.rerecords, 4);
-        assert_eq!(report.diverged, 4);
+        // The cache holds only the previous phase: phase 0 records,
+        // phases 1..7 each diverge, miss and re-record — 8 consecutive
+        // failures, which hit the default give-up threshold of 8 on the
+        // last iteration: one give-up, no pinned iteration left.
+        assert_eq!(report.replayed, 0, "phases always diverge: {report}");
+        assert_eq!(report.rerecords, 8, "{report}");
+        assert_eq!(report.diverged, 7, "{report}");
+        assert_eq!(report.giveups, 1, "{report}");
+        assert_eq!(report.pinned_iterations, 0, "{report}");
     }
 }
