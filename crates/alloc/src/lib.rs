@@ -413,10 +413,14 @@ const SHELF_MAX: usize = 64;
 /// Slots moved per shelf ↔ overflow batch transfer.
 const SHELF_BATCH: usize = 32;
 
-/// Per-shelf free list of recycled object shells.
+/// Per-shelf free list of recycled object shells, plus the shelf's
+/// share of the acquisition counters (updated under the shelf lock the
+/// acquisition already holds, so they cost no extra atomic).
 #[derive(Default)]
 struct Shelf {
     free: Vec<*mut u8>,
+    recycled: u64,
+    fresh: u64,
 }
 
 unsafe impl Send for Shelf {}
@@ -445,17 +449,19 @@ pub struct TaskSlabStats {
 /// Hot path mirrors [`PoolAllocator`]'s magazines: a per-worker shelf
 /// (uncontended mutex) with batched spill to a shared overflow list, so
 /// producer/consumer imbalance across workers (one worker spawns, many
-/// free) still recycles instead of growing.
+/// free) still recycles instead of growing. Each shelf sits on its own
+/// 128-byte line pair and counts its own `recycled`/`fresh` under its
+/// lock, so neighbouring workers' acquisitions share no cache line;
+/// `live`/`peak_live` stay global atomics because the peak must be
+/// exact (fig18's recycle-rate guard divides by it).
 pub struct TaskSlab {
     layout: Layout,
     alloc: std::sync::Arc<dyn RuntimeAllocator>,
     /// Destructor for a recycled (still-initialized) shell; run when the
     /// slab itself drops, before returning the memory.
     drop_shell: unsafe fn(*mut u8),
-    shelves: Box<[Mutex<Shelf>]>,
+    shelves: Box<[Padded<Mutex<Shelf>>]>,
     overflow: Mutex<Shelf>,
-    recycled: AtomicU64,
-    fresh: AtomicU64,
     live: AtomicU64,
     peak_live: AtomicU64,
 }
@@ -474,10 +480,10 @@ impl TaskSlab {
             layout,
             alloc,
             drop_shell,
-            shelves: (0..workers.max(1)).map(|_| Mutex::default()).collect(),
+            shelves: (0..workers.max(1))
+                .map(|_| Padded(Mutex::default()))
+                .collect(),
             overflow: Mutex::default(),
-            recycled: AtomicU64::new(0),
-            fresh: AtomicU64::new(0),
             live: AtomicU64::new(0),
             peak_live: AtomicU64::new(0),
         }
@@ -494,9 +500,9 @@ impl TaskSlab {
     pub fn acquire(&self, worker: usize) -> (*mut u8, bool) {
         let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_live.fetch_max(live, Ordering::Relaxed);
-        let mut shelf = self.shelves[worker % self.shelves.len()].lock();
+        let mut shelf = self.shelves[worker % self.shelves.len()].0.lock();
         if let Some(p) = shelf.free.pop() {
-            self.recycled.fetch_add(1, Ordering::Relaxed);
+            shelf.recycled += 1;
             return (p, true);
         }
         // Shelf empty: pull a batch from the shared overflow (the frees
@@ -510,11 +516,11 @@ impl TaskSlab {
             }
         }
         if let Some(p) = shelf.free.pop() {
-            self.recycled.fetch_add(1, Ordering::Relaxed);
+            shelf.recycled += 1;
             return (p, true);
         }
+        shelf.fresh += 1;
         drop(shelf);
-        self.fresh.fetch_add(1, Ordering::Relaxed);
         (self.alloc.alloc(self.layout), false)
     }
 
@@ -526,7 +532,7 @@ impl TaskSlab {
     /// used afterwards.
     pub unsafe fn recycle(&self, worker: usize, p: *mut u8) {
         self.live.fetch_sub(1, Ordering::Relaxed);
-        let mut shelf = self.shelves[worker % self.shelves.len()].lock();
+        let mut shelf = self.shelves[worker % self.shelves.len()].0.lock();
         shelf.free.push(p);
         if shelf.free.len() >= SHELF_MAX {
             let keep = shelf.free.len() / 2;
@@ -535,14 +541,19 @@ impl TaskSlab {
         }
     }
 
-    /// Counters snapshot.
+    /// Counters snapshot (`recycled`/`fresh` summed over the shelves).
     pub fn stats(&self) -> TaskSlabStats {
-        TaskSlabStats {
-            recycled: self.recycled.load(Ordering::Relaxed),
-            fresh: self.fresh.load(Ordering::Relaxed),
+        let mut stats = TaskSlabStats {
             live: self.live.load(Ordering::Relaxed),
             peak_live: self.peak_live.load(Ordering::Relaxed),
+            ..TaskSlabStats::default()
+        };
+        for shelf in self.shelves.iter() {
+            let shelf = shelf.0.lock();
+            stats.recycled += shelf.recycled;
+            stats.fresh += shelf.fresh;
         }
+        stats
     }
 }
 
@@ -550,7 +561,7 @@ impl Drop for TaskSlab {
     fn drop(&mut self) {
         let mut all: Vec<*mut u8> = Vec::new();
         for shelf in self.shelves.iter() {
-            all.append(&mut shelf.lock().free);
+            all.append(&mut shelf.0.lock().free);
         }
         all.append(&mut self.overflow.lock().free);
         for p in all {
@@ -892,6 +903,83 @@ mod tests {
             recycled_count >= SHELF_BATCH,
             "overflow batch must reach the allocating worker (got {recycled_count})"
         );
+    }
+
+    #[test]
+    fn slab_counters_conserve_across_threads() {
+        // Two workers, each holding `HELD` shells at a barrier per round
+        // and returning them to the *other* worker's shelf: the per-shelf
+        // counters must sum to the acquisitions, and the global peak is
+        // exactly both hands full.
+        const ROUNDS: usize = 50;
+        const HELD: usize = 40;
+        let drops = Arc::new(core::sync::atomic::AtomicUsize::new(0));
+        let pool: Arc<dyn RuntimeAllocator> = Arc::new(PoolAllocator::new(2));
+        let slab = shell_slab(Arc::clone(&pool));
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for w in 0..2 {
+                let (slab, barrier, drops) = (&slab, &barrier, &drops);
+                s.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        let held: Vec<*mut u8> = (0..HELD)
+                            .map(|_| {
+                                let (p, recycled) = slab.acquire(w);
+                                if !recycled {
+                                    unsafe {
+                                        (p as *mut Shell).write(Shell {
+                                            payload: Vec::new(),
+                                            drops: Arc::clone(drops),
+                                        });
+                                    }
+                                }
+                                p
+                            })
+                            .collect();
+                        barrier.wait();
+                        for p in held {
+                            unsafe { slab.recycle(1 - w, p) };
+                        }
+                        barrier.wait();
+                    }
+                });
+            }
+        });
+        let s = slab.stats();
+        assert_eq!(s.recycled + s.fresh, (2 * ROUNDS * HELD) as u64);
+        assert!(s.fresh >= (2 * HELD) as u64, "{s:?}");
+        assert_eq!(s.live, 0);
+        assert_eq!(s.peak_live, (2 * HELD) as u64);
+        // A larger sequential hold raises the peak to exactly its size.
+        let more: Vec<*mut u8> = (0..3 * HELD)
+            .map(|_| {
+                let (p, recycled) = slab.acquire(0);
+                if !recycled {
+                    unsafe {
+                        (p as *mut Shell).write(Shell {
+                            payload: Vec::new(),
+                            drops: Arc::clone(&drops),
+                        });
+                    }
+                }
+                p
+            })
+            .collect();
+        let s = slab.stats();
+        assert_eq!(
+            (s.live, s.peak_live),
+            ((3 * HELD) as u64, (3 * HELD) as u64)
+        );
+        for p in more {
+            unsafe { slab.recycle(0, p) };
+        }
+        let s = slab.stats();
+        assert_eq!(s.recycled + s.fresh, (2 * ROUNDS * HELD + 3 * HELD) as u64);
+        assert_eq!(s.live, 0);
+        let shells = s.fresh as usize;
+        drop(slab);
+        assert_eq!(drops.load(Ordering::Relaxed), shells, "every shell dropped");
+        assert_eq!(pool.stats().live, 0, "slab drop returns memory");
     }
 
     #[test]

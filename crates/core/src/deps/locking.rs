@@ -367,7 +367,7 @@ mod tests {
                     "root",
                     core::ptr::null_mut(),
                     0,
-                    Box::new(|_| {}),
+                    crate::task::TaskBody::new(|_| {}),
                     vec![],
                 ))),
             }
@@ -380,7 +380,7 @@ mod tests {
                 "t",
                 parent.unwrap_or(self.root),
                 0,
-                Box::new(|_| {}),
+                crate::task::TaskBody::new(|_| {}),
                 deps.into_decls(),
             )));
             self.tasks.lock().push(t);

@@ -110,11 +110,19 @@ impl Deps {
         Self::default()
     }
 
+    /// Entries reserved by the first push, so one buffer allocation
+    /// covers a stencil task's accesses: `Vec`'s own first growth step
+    /// (4 entries) would reallocate and copy on the fifth push.
+    const FIRST_RESERVE: usize = 8;
+
     fn push(mut self, addr: usize, len: usize, mode: AccessMode) -> Self {
         debug_assert!(
             !self.list.iter().any(|d| d.addr == addr),
             "duplicate dependency on address {addr:#x}"
         );
+        if self.list.capacity() == 0 {
+            self.list.reserve_exact(Self::FIRST_RESERVE);
+        }
         self.list.push(AccessDecl::new(addr, len, mode));
         self
     }

@@ -581,7 +581,7 @@ mod tests {
                 "root",
                 core::ptr::null_mut(),
                 0,
-                Box::new(|_| {}),
+                crate::task::TaskBody::new(|_| {}),
                 vec![],
             )));
             Self {
@@ -607,7 +607,7 @@ mod tests {
                 "t",
                 parent,
                 0,
-                Box::new(|_| {}),
+                crate::task::TaskBody::new(|_| {}),
                 deps.into_decls(),
             )));
             self.tasks.lock().push(t);

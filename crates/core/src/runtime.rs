@@ -83,9 +83,22 @@ pub trait SpawnCapture: Send + Sync {
 /// `Arc` clone per task), instead of a freshly boxed wrapper closure per
 /// task per iteration. `tag` is caller-chosen (the replay engine passes
 /// the graph node index).
+///
+/// The epilogue also answers [`TaskCtx::red_slot`] for its tasks when
+/// they carry no declaration of the address: a replayed held task is
+/// spawned with no decls, and its reduction slots come from the shared
+/// per-iteration state instead ([`TaskEpilogue::red_slot`]).
 pub trait TaskEpilogue: Send + Sync {
     /// Run the hook for the task tagged `tag`.
     fn run(&self, ctx: &TaskCtx, tag: u64);
+
+    /// The private reduction slot of `worker` for the task tagged `tag`
+    /// on the reduction target at `addr`, or `None` when that task has no
+    /// reduction on `addr` (the default: epilogues that carry no
+    /// reduction state).
+    fn red_slot(&self, _tag: u64, _addr: usize, _worker: usize) -> Option<*mut u8> {
+        None
+    }
 }
 
 /// Handle to a task created by [`TaskCtx::spawn_held`]: the task is
@@ -1206,7 +1219,7 @@ impl TaskCtx<'_> {
         deps: Deps,
         body: impl FnOnce(&TaskCtx) + Send + 'static,
     ) {
-        let body: TaskBody = Box::new(body);
+        let body = TaskBody::new(body);
         if self.worker.shared.has_capture.load(Ordering::Acquire) {
             if !unsafe { (*self.task).parent.is_null() } {
                 // Nested spawn under an installed capture: count it so
@@ -1251,6 +1264,8 @@ impl TaskCtx<'_> {
     /// not registered with the dependency system and not scheduled.
     /// `decls` are attached as data only (so [`TaskCtx::red_slot`] works
     /// when reduction state was pre-attached) — they impose no ordering.
+    /// Pass an empty list when no body calls `red_slot`: held-task
+    /// creation then touches no decl buffer at all.
     ///
     /// The task runs after [`TaskCtx::release_held`] is called on the
     /// returned handle, exactly once, from any task context of the same
@@ -1264,15 +1279,18 @@ impl TaskCtx<'_> {
         decls: Vec<crate::deps::AccessDecl>,
         body: impl FnOnce(&TaskCtx) + Send + 'static,
     ) -> HeldTask {
-        self.spawn_held_inner(label, priority, decls, Box::new(body), None)
+        self.spawn_held_inner(label, priority, decls, TaskBody::new(body), None)
     }
 
     /// Like [`TaskCtx::spawn_held`], but attaches a [`TaskEpilogue`] that
     /// runs right after the body on the executing worker. The body is
-    /// passed through as the already-boxed [`TaskBody`] — together these
+    /// passed through as the already-wrapped [`TaskBody`] — together these
     /// let a caller that manages many similar tasks (the replay engine's
-    /// steady state) avoid wrapping every body in a fresh closure
-    /// allocation per task per iteration.
+    /// steady state) avoid wrapping every body in a fresh closure per
+    /// task per iteration. The replay engine passes no `decls`: its
+    /// epilogue answers [`TaskCtx::red_slot`] through
+    /// [`TaskEpilogue::red_slot`], so a replayed held task carries no
+    /// declarations and its creation allocates nothing.
     pub fn spawn_held_with_epilogue(
         &self,
         label: &'static str,
@@ -1508,7 +1526,7 @@ impl TaskCtx<'_> {
             "taskwait_on",
             i32::MAX,
             deps,
-            Box::new(|_| {}),
+            TaskBody::new(|_| {}),
             Some(Arc::clone(&done)),
         );
         let mut backoff = Backoff::new();
@@ -1610,21 +1628,31 @@ impl TaskCtx<'_> {
     /// The private reduction slot of the current worker for the reduction
     /// access declared on `target`. Panics if this task has no reduction
     /// access on that address.
+    ///
+    /// The task's own declarations are searched first; a task without a
+    /// matching declaration (a replayed held task carries none) asks its
+    /// [`TaskEpilogue`], if it has one.
     pub fn red_slot<T>(&self, target: &T) -> *mut T {
         let addr = target as *const T as usize;
         let task = unsafe { &*self.task };
         let decls = unsafe { task.decls() };
-        let d = decls
+        if let Some(d) = decls
             .iter()
             .find(|d| d.addr == addr && d.mode.is_reduction())
-            .expect("no reduction access declared on this address");
-        // Invariant (not user-reachable): a body only runs after
-        // `register` attached `ReductionInfo` to every reduction decl.
-        let info = d
-            .reduction
-            .as_ref()
-            .expect("reduction info not attached (task not registered?)");
-        unsafe { info.slot(self.worker.id) as *mut T }
+        {
+            // Invariant (not user-reachable): a body only runs after
+            // `register` attached `ReductionInfo` to every reduction decl.
+            let info = d
+                .reduction
+                .as_ref()
+                .expect("reduction info not attached (task not registered?)");
+            return unsafe { info.slot(self.worker.id) as *mut T };
+        }
+        // The epilogue is detached only after the body returns, on this
+        // (the executing) thread, so it is still attached here.
+        task.epilogue()
+            .and_then(|(epi, tag)| epi.red_slot(*tag, addr, self.worker.id))
+            .expect("no reduction access declared on this address") as *mut T
     }
 }
 
@@ -1753,7 +1781,7 @@ fn run_body(w: &WorkerCtx, t: *mut Task) {
             if let Some(plan) = &w.shared.cfg.fault_plan {
                 maybe_inject_fault(w, t, plan);
             }
-            body(&ctx);
+            body.call(&ctx);
         })) {
             record_body_failure(w, t, payload);
         }
@@ -2140,7 +2168,7 @@ impl Runtime {
                 "root",
                 core::ptr::null_mut(),
                 0,
-                Box::new(root),
+                TaskBody::new(root),
                 vec![],
             );
             (*t).set_completion_flag(Arc::clone(&done));

@@ -175,6 +175,16 @@ impl SchedCounters {
         }
     }
 
+    /// Tasks inserted but not yet returned by a pop: adds + batched
+    /// tasks + node-targeted tasks − pops. Tasks sitting in a worker's
+    /// private pop cache count as queued. Approximate while producers
+    /// and consumers run (shards are summed one by one).
+    pub(crate) fn queued(&self) -> usize {
+        let pops = self.pops.value();
+        let added = self.adds.value() + self.batch_tasks.value() + self.targeted_tasks.value();
+        added.saturating_sub(pops) as usize
+    }
+
     pub(crate) fn snapshot(&self) -> SchedOpStats {
         SchedOpStats {
             adds: self.adds.value(),
@@ -515,7 +525,7 @@ mod tests {
                     "t",
                     core::ptr::null_mut(),
                     0,
-                    Box::new(|_| {}),
+                    crate::task::TaskBody::new(|_| {}),
                     vec![],
                 );
                 t.priority = p;

@@ -89,14 +89,15 @@ pub struct SyncScheduler {
     /// exclusively on worker `w`'s thread.
     caches: Box<[CachePadded<UnsafeCell<VecDeque<TaskPtr>>>]>,
     counters: SchedCounters,
-    len: core::sync::atomic::AtomicUsize,
     /// Tasks on the *global* path only (add buffers + policy queue), not
     /// in partition queues. Lets `get_ready` skip the whole DTLock
     /// delegation round when the global path is empty — during
     /// partitioned replay every task is node-targeted, so workers run
     /// entirely off their partition queues and the DTLock goes quiet.
-    /// Advisory like `len`: producers increment before inserting and the
-    /// polling loops guarantee eventual visibility.
+    /// Advisory: producers increment before inserting and the polling
+    /// loops guarantee eventual visibility. (The total queued count,
+    /// [`Scheduler::approx_len`], is derived from the sharded counters
+    /// instead: only this bypass gate needs a shared counter.)
     global_len: core::sync::atomic::AtomicUsize,
     /// Sticky: set on the first node-targeted insertion, never cleared.
     /// The DTLock-bypass gate below only engages once targeted insertion
@@ -168,7 +169,6 @@ impl SyncScheduler {
                 .map(|_| CachePadded::new(UnsafeCell::new(VecDeque::new())))
                 .collect(),
             counters: SchedCounters::detached(workers.max(1), nodes),
-            len: core::sync::atomic::AtomicUsize::new(0),
             global_len: core::sync::atomic::AtomicUsize::new(0),
             targeted_ever: core::sync::atomic::AtomicBool::new(false),
         }
@@ -220,7 +220,7 @@ impl SyncScheduler {
     /// Move up to `pop_cache` surplus tasks from the policy queue into
     /// `worker`'s private cache, so its next `get_ready` calls skip the
     /// DTLock entirely. Caller must hold the DTLock; cached tasks leave
-    /// the `len` accounting (they are already owned by `worker`).
+    /// the `global_len` accounting (they are already owned by `worker`).
     ///
     /// # Safety
     /// Must be called from `worker`'s own thread (cache confinement) with
@@ -235,7 +235,6 @@ impl SyncScheduler {
             match ready.pop() {
                 Some(t) => {
                     cache.push_back(t);
-                    self.len.fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
                     self.global_len
                         .fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
                 }
@@ -276,9 +275,6 @@ impl SyncScheduler {
     /// private cache under the same lock acquisition. The empty fast
     /// path is a single atomic load, so workers on an unpartitioned run
     /// (or an idle node) pay essentially nothing.
-    ///
-    /// Cached tasks leave the `len` accounting immediately (the worker
-    /// owns them), exactly like the DTLock pop cache.
     fn pop_node(&self, n: usize, worker: usize) -> Option<TaskPtr> {
         let nq = &self.nodeqs[n];
         if nq.len.load(core::sync::atomic::Ordering::Acquire) == 0 {
@@ -313,8 +309,6 @@ impl SyncScheduler {
         }
         nq.lock.unlock();
         if taken > 0 {
-            self.len
-                .fetch_sub(taken, core::sync::atomic::Ordering::Relaxed);
             self.counters.pop(worker);
         }
         first
@@ -340,7 +334,6 @@ impl Scheduler for SyncScheduler {
             r.record(EventKind::AddReady, unsafe { (*task.0).id });
         }
         self.counters.add(worker);
-        self.len.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
         self.global_len
             .fetch_add(1, core::sync::atomic::Ordering::Relaxed);
         let node = self.numa_of(worker);
@@ -376,8 +369,6 @@ impl Scheduler for SyncScheduler {
             r.record(EventKind::ReadyBatch, tasks.len() as u64);
         }
         self.counters.batch(worker, tasks.len());
-        self.len
-            .fetch_add(tasks.len(), core::sync::atomic::Ordering::Relaxed);
         self.global_len
             .fetch_add(tasks.len(), core::sync::atomic::Ordering::Relaxed);
         let node = self.numa_of(worker);
@@ -396,8 +387,6 @@ impl Scheduler for SyncScheduler {
             );
         }
         self.counters.targeted(worker, tasks.len());
-        self.len
-            .fetch_add(tasks.len(), core::sync::atomic::Ordering::Relaxed);
         // The target node's *partition queue*, not the producer's home
         // add buffer: the batch is both placed and popped on its node,
         // one lock acquisition for the whole batch, never touching the
@@ -454,7 +443,6 @@ impl Scheduler for SyncScheduler {
         let got = match self.lock.lock_or_delegate(worker) {
             LockOrDelegate::Served(t) => {
                 // Another worker executed our request inside the lock.
-                self.len.fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
                 self.global_len
                     .fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
                 self.counters.pop(worker);
@@ -497,7 +485,6 @@ impl Scheduler for SyncScheduler {
                     }
                     self.lock.unlock();
                     if own.is_some() {
-                        self.len.fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
                         self.global_len
                             .fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
                         self.counters.pop(worker);
@@ -539,7 +526,6 @@ impl Scheduler for SyncScheduler {
                 }
                 self.lock.unlock();
                 if own.is_some() {
-                    self.len.fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
                     self.global_len
                         .fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
                     self.counters.pop(worker);
@@ -554,7 +540,7 @@ impl Scheduler for SyncScheduler {
     }
 
     fn approx_len(&self) -> usize {
-        self.len.load(core::sync::atomic::Ordering::Relaxed)
+        self.counters.queued()
     }
 
     fn kind(&self) -> SchedKind {
@@ -712,6 +698,24 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 4);
+    }
+
+    #[test]
+    fn approx_len_counts_every_insert_path_until_popped() {
+        // Single, batched and node-targeted inserts all count; tasks
+        // moved into a private pop cache stay counted until popped.
+        let s = SyncScheduler::new(2, 2, Policy::Fifo, 16).with_pop_cache(2);
+        s.add_ready(fake(1), 0, None);
+        s.add_ready_batch(&[fake(2), fake(3), fake(4)], 0, None);
+        s.add_ready_batch_to(1, &[fake(5), fake(6)], 0, None);
+        assert_eq!(s.approx_len(), 6);
+        assert!(s.get_ready(0, None).is_some());
+        assert_eq!(s.approx_len(), 5);
+        let mut rest = 0;
+        while s.get_ready(0, None).is_some() {
+            rest += 1;
+        }
+        assert_eq!((rest, s.approx_len()), (5, 0));
     }
 
     #[test]

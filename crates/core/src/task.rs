@@ -38,6 +38,8 @@
 //! couple hundred megabytes of slab-recycled memory.
 
 use core::cell::UnsafeCell;
+use core::marker::PhantomData;
+use core::mem::{ManuallyDrop, MaybeUninit};
 use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -49,8 +51,102 @@ use crate::runtime::TaskCtx;
 /// Unique (per-runtime) task identifier.
 pub type TaskId = u64;
 
-/// Type-erased task body.
-pub type TaskBody = Box<dyn FnOnce(&TaskCtx) + Send + 'static>;
+/// Bytes of closure capture a [`TaskBody`] stores inline.
+const BODY_INLINE_BYTES: usize = 48;
+
+/// Inline closure storage: 48 bytes at 16-byte alignment.
+#[repr(C, align(16))]
+struct BodyBuf(MaybeUninit<[u8; BODY_INLINE_BYTES]>);
+
+/// Type-erased task body: a `FnOnce(&TaskCtx) + Send + 'static` closure.
+///
+/// Task creation "involves the memory allocator" (§1); a boxed body
+/// would be one global-allocator call per spawn, freed later on
+/// whichever worker ran the task. A closure of at most 48 bytes with
+/// alignment at most 16 (the common capture: a few references and
+/// indices) is instead stored *inline*, inside the task object the slab
+/// already recycles, behind a call and a drop function pointer. Larger
+/// or over-aligned closures are boxed, and the box pointer is stored
+/// inline in their place.
+///
+/// The closure runs at most once ([`TaskBody::call`] consumes the
+/// body); a body dropped uncalled (a cancelled task) drops its
+/// captures.
+pub struct TaskBody {
+    buf: BodyBuf,
+    /// Moves the closure out of the buffer and calls it.
+    call: unsafe fn(*mut u8, &TaskCtx),
+    /// Drops the closure in place (uncalled body).
+    drop: unsafe fn(*mut u8),
+    /// The erased closure need not be `Sync`: opt out of the auto traits
+    /// (like `Box<dyn FnOnce + Send>`, the type is `Send` only).
+    _erased: PhantomData<*mut ()>,
+}
+
+// SAFETY: `buf` holds a closure that `TaskBody::new` requires to be
+// `Send` (or a `Box` of one); `call` and `drop` are plain fn pointers.
+unsafe impl Send for TaskBody {}
+
+impl TaskBody {
+    /// Wrap `f`: inline when it fits (at most 48 bytes, alignment at most 16),
+    /// boxed otherwise.
+    pub fn new<F: FnOnce(&TaskCtx) + Send + 'static>(f: F) -> Self {
+        if Self::fits_inline::<F>() {
+            Self::store(f)
+        } else {
+            Self::store(Box::new(f))
+        }
+    }
+
+    /// Whether a closure of type `F` is stored without a box.
+    pub(crate) const fn fits_inline<F>() -> bool {
+        size_of::<F>() <= BODY_INLINE_BYTES && align_of::<F>() <= align_of::<BodyBuf>()
+    }
+
+    fn store<G: FnOnce(&TaskCtx) + Send + 'static>(g: G) -> Self {
+        // Memory safety rests on this check; it folds to a constant.
+        assert!(Self::fits_inline::<G>());
+        /// # Safety
+        /// `p` must hold an initialized `G` that is never read or dropped
+        /// again afterwards.
+        unsafe fn call<G: FnOnce(&TaskCtx)>(p: *mut u8, ctx: &TaskCtx) {
+            // SAFETY: the caller's contract; `G` moves out exactly once.
+            let g = unsafe { (p as *mut G).read() };
+            g(ctx)
+        }
+        /// # Safety
+        /// `p` must hold an initialized `G` that is never used again.
+        unsafe fn drop<G>(p: *mut u8) {
+            // SAFETY: the caller's contract.
+            unsafe { core::ptr::drop_in_place(p as *mut G) }
+        }
+        let mut buf = BodyBuf(MaybeUninit::uninit());
+        // SAFETY: `G` fits the buffer's size and alignment (asserted).
+        unsafe { (buf.0.as_mut_ptr() as *mut G).write(g) };
+        Self {
+            buf,
+            call: call::<G>,
+            drop: drop::<G>,
+            _erased: PhantomData,
+        }
+    }
+
+    /// Run the body, consuming it. A panic in the closure unwinds out of
+    /// this call with the captures dropped exactly once.
+    pub fn call(self, ctx: &TaskCtx) {
+        let mut this = ManuallyDrop::new(self);
+        // SAFETY: the buffer holds the closure `call` was built for, and
+        // `ManuallyDrop` keeps `Drop` from touching it again.
+        unsafe { (this.call)(this.buf.0.as_mut_ptr() as *mut u8, ctx) }
+    }
+}
+
+impl Drop for TaskBody {
+    fn drop(&mut self) {
+        // SAFETY: an uncalled body still owns its closure.
+        unsafe { (self.drop)(self.buf.0.as_mut_ptr() as *mut u8) }
+    }
+}
 
 /// Bottom map of a dependency domain: address → last access registered to
 /// that address among this task's children. Thread-confined to the task's
@@ -286,9 +382,9 @@ pub struct Task {
     /// creation.
     pub priority: i32,
     /// Whether the task was registered with the dependency system.
-    /// False for *held* tasks (replay execution): their `decls` are data
-    /// for `red_slot` only, and the dependency system must not try to
-    /// release them.
+    /// False for *held* tasks (replay execution): their `decls` (none
+    /// when the replay engine feeds them) are data for `red_slot` only,
+    /// and the dependency system must not try to release them.
     pub registered: bool,
     /// Metrics: tracer-epoch timestamp of the (sampled) moment this task
     /// was handed to the scheduler — 0 when never stamped. Read and
@@ -332,7 +428,8 @@ impl Task {
 
     /// Re-initialize a recycled shell in place for a new task, keeping
     /// the interior capacity the previous occupant accumulated (decls
-    /// buffer, bottom map, cold box). The shell must have gone through
+    /// buffer, bottom map, cold box). `decls` are appended into the
+    /// retained decl buffer. The shell must have gone through
     /// [`Task::reset_for_recycle`].
     pub(crate) fn reinit_recycled(
         &mut self,
@@ -352,7 +449,12 @@ impl Task {
         self.state = TaskState::new_registered(n);
         let dv = self.decls.get_mut();
         debug_assert!(dv.is_empty(), "recycled shell with live decls");
-        if !decls.is_empty() {
+        // Append into the retained buffer, so the caller's `Deps` buffer
+        // is freed here, on the thread that allocated it. Only a shell
+        // whose buffer is too small adopts the caller's instead.
+        if dv.capacity() >= n {
+            dv.extend(decls);
+        } else {
             *dv = decls;
         }
         self.accesses = core::ptr::null_mut();
@@ -468,6 +570,12 @@ impl Task {
         self.cold.get_or_insert_with(Box::default).epilogue = Some(epilogue);
     }
 
+    /// The attached epilogue, if any (executing worker, during the body).
+    #[inline]
+    pub(crate) fn epilogue(&self) -> Option<&(Arc<dyn crate::runtime::TaskEpilogue>, u64)> {
+        self.cold.as_ref().and_then(|c| c.epilogue.as_ref())
+    }
+
     /// Detach the epilogue for running (executing worker, post-body).
     #[inline]
     pub fn take_epilogue(&mut self) -> Option<(Arc<dyn crate::runtime::TaskEpilogue>, u64)> {
@@ -518,7 +626,14 @@ mod tests {
         let decls = (0..n_accesses)
             .map(|i| AccessDecl::new(0x1000 + i * 8, 8, AccessMode::Write))
             .collect();
-        Task::new(1, "t", core::ptr::null_mut(), 0, Box::new(|_| {}), decls)
+        Task::new(
+            1,
+            "t",
+            core::ptr::null_mut(),
+            0,
+            TaskBody::new(|_| {}),
+            decls,
+        )
     }
 
     #[test]
@@ -622,7 +737,7 @@ mod tests {
             "t2",
             core::ptr::null_mut(),
             0,
-            Box::new(|_| {}),
+            TaskBody::new(|_| {}),
             Vec::new(),
         );
         assert!(!t.is_cancelled());
@@ -650,6 +765,147 @@ mod tests {
             t.child_bottom_or_init().insert(0x20, core::ptr::null_mut());
             assert_eq!(bottom_maps_created(), before + 1);
         }
+    }
+
+    /// [`TaskBody::fits_inline`] for the type of `f` (closure types
+    /// cannot be named).
+    fn fits_inline_of<F>(_f: &F) -> bool {
+        TaskBody::fits_inline::<F>()
+    }
+
+    /// Call `body` from inside a root task of a one-worker runtime.
+    fn call_in_runtime(body: TaskBody) {
+        let rt = crate::Runtime::new(crate::RuntimeConfig::optimized().workers(1));
+        rt.run(move |ctx| body.call(ctx));
+    }
+
+    #[test]
+    fn task_stays_in_the_192_byte_pool_class() {
+        assert_eq!(size_of::<Option<TaskBody>>(), size_of::<TaskBody>());
+        assert!(size_of::<Task>() <= 192, "{}", size_of::<Task>());
+    }
+
+    #[test]
+    fn small_body_is_inline_and_drops_captures_once_after_call() {
+        let arc = Arc::new(AtomicU64::new(0));
+        let (a, words) = (Arc::clone(&arc), [1u64, 2, 3, 4]);
+        let f = move |_: &TaskCtx| {
+            a.fetch_add(words.iter().sum(), Ordering::Relaxed);
+        };
+        assert!(fits_inline_of(&f));
+        call_in_runtime(TaskBody::new(f));
+        assert_eq!(arc.load(Ordering::Relaxed), 10);
+        assert_eq!(Arc::strong_count(&arc), 1);
+    }
+
+    #[test]
+    fn large_body_falls_back_to_a_box() {
+        let arc = Arc::new(AtomicU64::new(0));
+        let (a, words) = (Arc::clone(&arc), [5u64; 8]); // 64 B + 8 B
+        let f = move |_: &TaskCtx| {
+            a.fetch_add(words.iter().sum(), Ordering::Relaxed);
+        };
+        assert!(!fits_inline_of(&f));
+        call_in_runtime(TaskBody::new(f));
+        assert_eq!(arc.load(Ordering::Relaxed), 40);
+        assert_eq!(Arc::strong_count(&arc), 1);
+    }
+
+    #[test]
+    fn over_aligned_body_falls_back_to_a_box() {
+        #[repr(align(32))]
+        struct A32(u64);
+        let arc = Arc::new(AtomicU64::new(0));
+        let (a, v) = (Arc::clone(&arc), A32(9));
+        let f = move |_: &TaskCtx| {
+            assert_eq!(&v as *const A32 as usize % 32, 0, "alignment kept");
+            a.fetch_add(v.0, Ordering::Relaxed);
+        };
+        assert!(!fits_inline_of(&f));
+        call_in_runtime(TaskBody::new(f));
+        assert_eq!(arc.load(Ordering::Relaxed), 9);
+        assert_eq!(Arc::strong_count(&arc), 1);
+    }
+
+    #[test]
+    fn zero_sized_body_runs() {
+        static RAN: AtomicU64 = AtomicU64::new(0);
+        let f = |_: &TaskCtx| {
+            RAN.fetch_add(1, Ordering::Relaxed);
+        };
+        assert_eq!(size_of_val(&f), 0);
+        assert!(fits_inline_of(&f));
+        call_in_runtime(TaskBody::new(f));
+        assert_eq!(RAN.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn uncalled_body_drops_captures_once() {
+        let arc = Arc::new(AtomicU64::new(0));
+        for boxed in [false, true] {
+            let body = if boxed {
+                let (a, pad) = (Arc::clone(&arc), [0u8; 64]);
+                TaskBody::new(move |_: &TaskCtx| drop((a, pad)))
+            } else {
+                let a = Arc::clone(&arc);
+                TaskBody::new(move |_: &TaskCtx| drop(a))
+            };
+            assert_eq!(Arc::strong_count(&arc), 2);
+            let mut t = dummy(0);
+            *t.body.get_mut() = Some(body);
+            drop(unsafe { t.take_body() });
+            assert_eq!(Arc::strong_count(&arc), 1);
+        }
+        assert_eq!(arc.load(Ordering::Relaxed), 0, "never called");
+    }
+
+    #[test]
+    fn cancelled_task_drops_its_uncalled_body_once() {
+        // The successor of a failed task is cancelled: `run_body` drops
+        // its body without calling it.
+        static X: u64 = 0;
+        let arc = Arc::new(AtomicU64::new(0));
+        let a = Arc::clone(&arc);
+        let rt = crate::Runtime::new(crate::RuntimeConfig::optimized().workers(1));
+        let outcome = rt.run_outcome(move |ctx| {
+            ctx.spawn(crate::Deps::new().write(&X), |_| panic!("planted failure"));
+            ctx.spawn(crate::Deps::new().read(&X), move |_| {
+                a.fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(outcome.failures.len(), 1);
+        assert_eq!(arc.load(Ordering::Relaxed), 0, "cancelled body ran");
+        assert_eq!(Arc::strong_count(&arc), 1);
+    }
+
+    #[test]
+    fn panicking_body_drops_captures_once() {
+        let arc = Arc::new(AtomicU64::new(0));
+        let bodies = [
+            TaskBody::new({
+                let a = Arc::clone(&arc);
+                move |_: &TaskCtx| {
+                    let _keep = &a;
+                    panic!("planted panic (inline)");
+                }
+            }),
+            TaskBody::new({
+                let (a, pad) = (Arc::clone(&arc), [0u8; 64]);
+                move |_: &TaskCtx| {
+                    let _keep = (&a, &pad);
+                    panic!("planted panic (boxed)");
+                }
+            }),
+        ];
+        assert_eq!(Arc::strong_count(&arc), 3);
+        let rt = crate::Runtime::new(crate::RuntimeConfig::optimized().workers(1));
+        rt.run(move |ctx| {
+            for body in bodies {
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body.call(ctx)));
+                assert!(r.is_err());
+            }
+        });
+        assert_eq!(Arc::strong_count(&arc), 1);
     }
 
     #[test]

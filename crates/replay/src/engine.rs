@@ -17,7 +17,7 @@
 
 use core::cell::UnsafeCell;
 use std::sync::Arc;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 use nanotask_core::deps::reduction::ReductionInfo;
 use nanotask_core::graph::GraphEdge;
@@ -349,11 +349,18 @@ struct GroupState {
 }
 
 /// Shared state of one replayed iteration.
+///
+/// Aligned to 128 bytes so that inside its `Arc` the reference counts,
+/// which every fed task bumps and every finished task drops, sit on a
+/// different cache-line pair from `graph` and `groups`, which every
+/// countdown and [`TaskEpilogue::red_slot`] call reads.
+#[repr(align(128))]
 struct IterState {
     graph: Arc<ReplayGraph>,
     groups: Vec<GroupState>,
     /// Released-node count (debug cross-check against graph size).
-    launched: AtomicUsize,
+    #[cfg(debug_assertions)]
+    launched: std::sync::atomic::AtomicUsize,
     /// NUMA partitioning of the graph — `Some` activates node-targeted
     /// release routing ([`nanotask_core::RuntimeConfig::replay_partitioning`]).
     part: Option<Arc<Partitioning>>,
@@ -384,11 +391,20 @@ impl IterState {
         Self {
             graph,
             groups,
-            launched: AtomicUsize::new(0),
+            #[cfg(debug_assertions)]
+            launched: std::sync::atomic::AtomicUsize::new(0),
             part,
             routed: AtomicU64::new(0),
             poisoned,
         }
+    }
+
+    /// Count one released node (the debug cross-check against graph
+    /// size; compiled out of release builds).
+    #[inline]
+    fn note_launched(&self) {
+        #[cfg(debug_assertions)]
+        self.launched.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Release-time half of the poison transfer: mark the just-released
@@ -427,7 +443,7 @@ impl IterState {
     /// one batch, so a replayed chain never round-trips the ready queue.
     fn countdown(&self, ctx: &TaskCtx, i: u32) {
         if let Some(t) = self.graph.countdown(i as usize) {
-            self.launched.fetch_add(1, Ordering::Relaxed);
+            self.note_launched();
             // SAFETY: `t` was published by the creator from a live
             // HeldTask and each node is released exactly once (the
             // pending counter reaches zero once per iteration).
@@ -495,7 +511,7 @@ impl IterState {
         ready.clear();
         for &s in succs {
             if let Some(t) = self.graph.countdown(s as usize) {
-                self.launched.fetch_add(1, Ordering::Relaxed);
+                self.note_launched();
                 // SAFETY: as in `countdown` — published by the
                 // creator, released exactly once.
                 let h = unsafe { HeldTask::from_raw(t) };
@@ -582,30 +598,18 @@ impl IterState {
     }
 
     /// Feed one matched spawn into the frozen graph: spawn the body held
-    /// (with reduction chain state attached) and drop its creation hold.
+    /// and drop its creation hold.
     fn feed(&self, self_arc: &Arc<IterState>, ctx: &TaskCtx, i: usize, body: TaskBody) {
         let node = &self.graph.nodes()[i];
-        // Reduction accesses need chain state for `red_slot`: attach this
-        // iteration's group instances to bare copies of the declarations.
-        // Non-reduction declarations impose no ordering during replay and
-        // are dropped to keep held-task creation allocation-free.
-        let decls: Vec<_> = self
-            .graph
-            .red_of(i)
-            .iter()
-            .map(|(d, gi)| {
-                let mut d = d.clone();
-                d.reduction = Some(Arc::clone(&self.groups[*gi as usize].info));
-                d
-            })
-            .collect();
-        // Pass the user's already-boxed body straight through and hang
-        // the successor-release logic on the shared per-iteration
-        // epilogue — no wrapper allocation.
+        // Pass the user's body straight through and hang the
+        // successor-release logic on the shared per-iteration epilogue.
+        // The held task carries no declarations: they impose no ordering
+        // during replay, and `red_slot` is answered by the epilogue
+        // (`TaskEpilogue::red_slot`) — so creation allocates nothing.
         let held = ctx.spawn_held_with_epilogue(
             node.label,
             node.priority,
-            decls,
+            Vec::new(),
             body,
             Arc::clone(self_arc) as Arc<dyn TaskEpilogue>,
             i as u64,
@@ -622,7 +626,7 @@ impl IterState {
             // interior nodes cost one atomic decrement.
             Some(p) => {
                 if let Some(t) = self.graph.countdown(i) {
-                    self.launched.fetch_add(1, Ordering::Relaxed);
+                    self.note_launched();
                     self.routed.fetch_add(1, Ordering::Relaxed);
                     // SAFETY: as in `countdown` — published by the
                     // creator (just above), released exactly once.
@@ -644,6 +648,19 @@ impl TaskEpilogue for IterState {
     /// — no per-task wrapper closure survives freezing.
     fn run(&self, ctx: &TaskCtx, tag: u64) {
         self.after_body(ctx, tag as usize);
+    }
+
+    /// The node's reduction membership on `addr` selects this
+    /// iteration's chain instance of its group.
+    fn red_slot(&self, tag: u64, addr: usize, worker: usize) -> Option<*mut u8> {
+        let (_, gi) = self
+            .graph
+            .red_of(tag as usize)
+            .iter()
+            .find(|(d, _)| d.addr == addr)?;
+        // SAFETY: `worker` is the calling task's executing worker, and
+        // the group combines only after its last member's body returned.
+        Some(unsafe { self.groups[*gi as usize].info.slot(worker) })
     }
 }
 
@@ -1119,7 +1136,8 @@ impl<'a> Engine<'a> {
         let nested = ctx.nested_spawn_count() - nested0;
         self.report.nested_spawns += nested;
         let (h, g, fresh) = if !end.diverged && end.next == end.state.graph.len() {
-            debug_assert_eq!(
+            #[cfg(debug_assertions)]
+            assert_eq!(
                 end.state.launched.load(Ordering::Relaxed),
                 end.state.graph.len(),
                 "every node released exactly once"
@@ -1457,6 +1475,44 @@ mod tests {
         let per_iter: f64 = (n * (n + 1) / 2) as f64;
         assert_eq!(unsafe { *acc }, per_iter * iters as f64);
         unsafe { drop(Box::from_raw(acc)) };
+    }
+
+    #[test]
+    fn replayed_red_slot_on_undeclared_address_panics() {
+        // Replayed held tasks carry no decls: `red_slot` is answered by
+        // the iteration's epilogue, which must still refuse an address
+        // the task declared no reduction on. The record iteration uses
+        // the declared address, so the graph freezes cleanly.
+        let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
+        let acc = SendPtr::new(Box::leak(Box::new(0.0f64)) as *mut f64);
+        let other = SendPtr::new(Box::leak(Box::new(0.0f64)) as *mut f64);
+        let iter = Arc::new(AtomicU64::new(0));
+        let (report, outcome) = rt.run_iterative_outcome(2, move |ctx| {
+            let target = if iter.fetch_add(1, Ordering::Relaxed) == 0 {
+                acc
+            } else {
+                other
+            };
+            ctx.spawn(
+                Deps::new().reduce_addr(acc.addr(), 8, nanotask_core::RedOp::SumF64),
+                move |c| unsafe {
+                    *c.red_slot(&*(target.addr() as *const f64)) += 1.0;
+                },
+            );
+        });
+        assert_eq!(report.replayed, 1, "{report:?}");
+        assert_eq!(outcome.failures.len(), 1, "{outcome:?}");
+        assert!(
+            outcome.failures[0]
+                .message
+                .contains("no reduction access declared"),
+            "{:?}",
+            outcome.failures[0]
+        );
+        // The record iteration's contribution was combined; the failed
+        // replayed task contributed nothing.
+        assert_eq!(unsafe { *acc.get() }, 1.0);
+        assert_eq!(unsafe { *other.get() }, 0.0);
     }
 
     #[test]
