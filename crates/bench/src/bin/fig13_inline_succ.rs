@@ -22,7 +22,9 @@
 //!   (mostly exercises batched release + the pop cache; the reduction
 //!   group itself is released at spawn time, not completion time).
 //!
-//! Each (preset, workload) point runs with the fast path off and on;
+//! Each (preset, workload) point runs with the fast path off and on
+//! (`RuntimeConfig::optimized()` ships it on, so "on" is each preset's
+//! default and "off" is `fast_path(false)`);
 //! the claim is machine-checkable through the scheduler op counters in
 //! [`nanotask_core::RunReport`], not just wall clock: the MET line
 //! requires ≥ 1.2× speedup on at least one chain-heavy workload on the

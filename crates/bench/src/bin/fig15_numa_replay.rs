@@ -93,13 +93,15 @@ impl Row {
         base / part
     }
 
-    /// Every release the engine routed, as counted by the *scheduler*:
+    /// Every release the engine routed, as counted by the *runtime*:
     /// the fraction of `routed_releases` confirmed by node-targeted
     /// insertion counters (per-node `node_stats` where the scheduler has
     /// per-node structures, the aggregate `targeted_tasks` otherwise —
-    /// Central has one queue, so only the aggregate exists). In [0, 1];
-    /// 1.0 means the scheduler saw a targeted insert for every routed
-    /// release.
+    /// Central has one queue, so only the aggregate exists) plus the
+    /// releases the fast path kept inline, which run on their assigned
+    /// node by construction (`inline_routed`). In [0, 1]; 1.0 means
+    /// every routed release was either inserted on its node or run
+    /// inline there.
     fn routed_fraction(&self) -> f64 {
         let routed = self.report.routed_releases;
         if routed == 0 {
@@ -116,7 +118,7 @@ impl Row {
         } else {
             per_node
         };
-        targeted.min(routed) as f64 / routed as f64
+        (targeted + self.run_report.sched.inline_routed).min(routed) as f64 / routed as f64
     }
 
     /// Releases the engine must have routed for every fully replayed

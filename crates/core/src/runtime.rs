@@ -245,7 +245,8 @@ pub struct RuntimeConfig {
     /// Immediate-successor execution: a completing task keeps one of the
     /// successors it released as its worker's next task, run inline with
     /// no queue and no lock (the zero-queue hot path; Nanos6 ships the
-    /// same fast path). Off by default — enabling it trades strict
+    /// same fast path). On by default
+    /// ([`RuntimeConfig::DEFAULT_INLINE_SUCCESSORS`]); it trades strict
     /// global queue ordering (and, under [`Policy::Priority`], strict
     /// priority order) for a shorter per-task critical path.
     pub inline_successors: bool,
@@ -255,11 +256,13 @@ pub struct RuntimeConfig {
     pub inline_max_depth: usize,
     /// Batched release: all successors released by one task completion
     /// are handed to the scheduler as a single slice (one lock
-    /// acquisition / buffer pass / trace record). Off by default.
+    /// acquisition / buffer pass / trace record). Off by default
+    /// ([`RuntimeConfig::DEFAULT_BATCHED_RELEASE`]).
     pub batched_release: bool,
     /// Per-worker pop-cache capacity of the delegation scheduler: one
     /// delegation-lock acquisition pre-pops up to this many extra tasks
-    /// for the acquiring worker. 0 (default) disables the cache.
+    /// for the acquiring worker. 0 disables the cache; the default is
+    /// [`RuntimeConfig::DEFAULT_POP_CACHE`].
     pub pop_cache: usize,
     /// Frozen replay graphs the replay engine keeps, LRU-keyed by
     /// structural hash (`nanotask-replay`'s `GraphCache`). Values > 1
@@ -322,8 +325,37 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
+    /// Default of [`RuntimeConfig::inline_successors`]: on.
+    ///
+    /// Chosen by interleaved nanobench A/Bs (40 s runs, seed 1, 2
+    /// workers on a 2-core host, 3 pairs per workload). Alone, against
+    /// the runtime with the whole fast path off, `solve_ms_p50` moved
+    /// ×0.82 on `heat_replay`, ×0.93 on `heat_deps` and ×1.05 on
+    /// `nested_burst`. Turned off in the full fast path (all three parts
+    /// plus the empty-scheduler DTLock bypass) it moved ×1.09, ×1.14 and
+    /// ×0.93: the chain workloads lose far more without it than the
+    /// leaf-only burst gains.
+    pub const DEFAULT_INLINE_SUCCESSORS: bool = true;
+
+    /// Default of [`RuntimeConfig::batched_release`]: off.
+    ///
+    /// Same A/Bs: alone it moved `solve_ms_p50` ×1.04 on `heat_replay`,
+    /// ×1.00 on `heat_deps` and ×1.06 on `nested_burst`; removed from the
+    /// full fast path it moved them ×0.97, ×0.98 and ×0.94. It stays
+    /// available through [`RuntimeConfig::fast_path`] and
+    /// [`RuntimeConfig::with_batched_release`].
+    pub const DEFAULT_BATCHED_RELEASE: bool = false;
+
+    /// Default of [`RuntimeConfig::pop_cache`]: 4 tasks per worker.
+    ///
+    /// Same A/Bs: alone it moved `solve_ms_p50` ×0.93 on `heat_replay`,
+    /// ×0.96 on `heat_deps` and ×0.82 on `nested_burst`.
+    pub const DEFAULT_POP_CACHE: usize = 4;
+
     /// The fully-optimized runtime: wait-free dependencies, delegation
-    /// scheduler, pooled allocator — the paper's "optimized" curve.
+    /// scheduler, pooled allocator — the paper's "optimized" curve —
+    /// with immediate-successor execution and the pop cache on (see the
+    /// `DEFAULT_*` constants for the measurements that chose them).
     pub fn optimized() -> Self {
         Self {
             workers: 4,
@@ -336,10 +368,10 @@ impl RuntimeConfig {
             trace: false,
             record_graph: false,
             noise: None,
-            inline_successors: false,
+            inline_successors: Self::DEFAULT_INLINE_SUCCESSORS,
             inline_max_depth: 64,
-            batched_release: false,
-            pop_cache: 0,
+            batched_release: Self::DEFAULT_BATCHED_RELEASE,
+            pop_cache: Self::DEFAULT_POP_CACHE,
             replay_cache_size: 4,
             replay_giveup_after: 8,
             replay_recheck_every: 16,
@@ -393,7 +425,9 @@ impl RuntimeConfig {
     }
 
     /// §6.3 comparator: work-stealing runtime in the style of the LLVM /
-    /// Intel OpenMP runtimes (local LIFO, steal oldest).
+    /// Intel OpenMP runtimes (local LIFO, steal oldest). The fast path
+    /// is pinned off: the comparator models those runtimes, not
+    /// nanotask's own defaults.
     pub fn openmp_llvm_like() -> Self {
         Self {
             sched: SchedKind::WorkSteal(crate::sched::WsVariant::LifoLocal),
@@ -402,10 +436,13 @@ impl RuntimeConfig {
             label: "LLVM-like (worksteal)",
             ..Self::optimized()
         }
+        .fast_path(false)
     }
 
     /// §6.3 comparator: GOMP-style work-stealing (local FIFO), with the
     /// serializing allocator GOMP effectively has through glibc malloc.
+    /// The fast path is pinned off, as in
+    /// [`RuntimeConfig::openmp_llvm_like`].
     pub fn openmp_gcc_like() -> Self {
         Self {
             sched: SchedKind::WorkSteal(crate::sched::WsVariant::FifoLocal),
@@ -414,6 +451,7 @@ impl RuntimeConfig {
             label: "GCC-like (worksteal)",
             ..Self::optimized()
         }
+        .fast_path(false)
     }
 
     /// Set total worker count.
@@ -479,12 +517,13 @@ impl RuntimeConfig {
 
     /// Toggle the whole zero-queue fast path at once: immediate-successor
     /// inline execution + batched ready-task release + a small per-worker
-    /// pop cache. This is the knob the `fig13_inline_succ` ablation
-    /// flips; everything defaults to off.
+    /// pop cache. [`RuntimeConfig::optimized`] already ships two of the
+    /// three (batched release is off); `fast_path(false)` is the baseline
+    /// the `fig13_inline_succ` ablation and the §6.3 comparators use.
     pub fn fast_path(mut self, on: bool) -> Self {
         self.inline_successors = on;
         self.batched_release = on;
-        self.pop_cache = if on { 4 } else { 0 };
+        self.pop_cache = if on { Self::DEFAULT_POP_CACHE } else { 0 };
         self
     }
 
@@ -2897,18 +2936,56 @@ mod tests {
 
     #[test]
     fn run_report_counts_scheduler_ops() {
-        let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
+        let rt = Runtime::new(RuntimeConfig::optimized().workers(2).fast_path(false));
         rt.run(|ctx| {
             for _ in 0..20 {
                 ctx.spawn(Deps::new(), |_| {});
             }
         });
         let report = rt.run_report();
-        assert_eq!(report.inline_runs, 0, "fast path off by default");
+        assert_eq!(report.inline_runs, 0, "fast path pinned off");
         assert_eq!(report.sched.batch_adds, 0, "no batches with feature off");
         assert_eq!(report.sched.adds, 20);
         assert_eq!(report.sched.pops, 20);
         assert_eq!(report.queue_bypass_fraction(), 0.0);
+    }
+
+    #[test]
+    fn optimized_defaults_engage_fast_path() {
+        // Plain `optimized()` runs successors inline. The chain head spins
+        // until the root has registered every link, so its completion
+        // always releases the next link — which then runs inline.
+        let cfg = RuntimeConfig::optimized();
+        assert!(cfg.inline_successors);
+        assert_eq!(cfg.batched_release, RuntimeConfig::DEFAULT_BATCHED_RELEASE);
+        assert_eq!(cfg.pop_cache, RuntimeConfig::DEFAULT_POP_CACHE);
+        let rt = Runtime::new(cfg.workers(2));
+        let spawned = Arc::new(AtomicBool::new(false));
+        let data = Box::leak(Box::new(0u64)) as *mut u64;
+        let p = crate::SendPtr::new(data);
+        let s = Arc::clone(&spawned);
+        rt.run(move |ctx| {
+            ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| {
+                while !s.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                unsafe { *p.get() += 1 };
+            });
+            for _ in 0..20 {
+                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
+                    *p.get() += 1;
+                });
+            }
+            spawned.store(true, Ordering::Release);
+        });
+        assert_eq!(unsafe { *data }, 21);
+        let report = rt.run_report();
+        assert!(
+            report.inline_runs > 0,
+            "inline successors on by default: {report:?}"
+        );
+        assert_eq!(rt.live_tasks(), 0);
+        unsafe { drop(Box::from_raw(data)) };
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   workers.
 //! * [`central::CentralScheduler`] — a single lock around the policy
 //!   queue; instantiated with the PTLock it is the "w/o DTLock" ablation
-//!   of §6.2, and it accepts any [`RawLock`] for the lock-design studies.
+//!   of §6.2, and it accepts any [`RawLock`](nanotask_locks::RawLock) for the lock-design studies.
 //! * [`worksteal::WorkStealScheduler`] — per-worker deques with stealing,
 //!   the architecture of the OpenMP runtimes the paper compares against
 //!   in §6.3.

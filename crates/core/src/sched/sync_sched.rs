@@ -11,7 +11,9 @@
 //!   that acquires the lock drains the SPSC buffers into the policy queue
 //!   and then *serves* every waiting worker a task through the DTLock
 //!   (`front`/`set_item`/`pop_front` — the yellow arrows of Figure 10),
-//!   takes one for itself, and releases the lock.
+//!   takes one for itself, and releases the lock. While the add buffers
+//!   and the policy queue are empty, a shared counter says so and idle
+//!   workers skip this round instead of taking the lock to find nothing.
 //!
 //! §3.4 reports a 4× speedup over a PTLock-protected scheduler and 12×
 //! over serial insertion from these two mechanisms combined; the
@@ -90,21 +92,16 @@ pub struct SyncScheduler {
     caches: Box<[CachePadded<UnsafeCell<VecDeque<TaskPtr>>>]>,
     counters: SchedCounters,
     /// Tasks on the *global* path only (add buffers + policy queue), not
-    /// in partition queues. Lets `get_ready` skip the whole DTLock
-    /// delegation round when the global path is empty — during
-    /// partitioned replay every task is node-targeted, so workers run
-    /// entirely off their partition queues and the DTLock goes quiet.
-    /// Advisory: producers increment before inserting and the polling
-    /// loops guarantee eventual visibility. (The total queued count,
-    /// [`Scheduler::approx_len`], is derived from the sharded counters
-    /// instead: only this bypass gate needs a shared counter.)
+    /// in partition queues or pop caches. `get_ready` skips the whole
+    /// DTLock delegation round while it reads 0, so idle workers poll one
+    /// shared word instead of taking the lock to find nothing. Producers
+    /// increment before inserting and consumers decrement after popping,
+    /// so it never reads 0 while a task sits on the global path; an idle
+    /// worker at worst misses one poll before the increment reaches it.
+    /// (The total queued count, [`Scheduler::approx_len`], is derived
+    /// from the sharded counters instead: only this gate needs a shared
+    /// counter.)
     global_len: core::sync::atomic::AtomicUsize,
-    /// Sticky: set on the first node-targeted insertion, never cleared.
-    /// The DTLock-bypass gate below only engages once targeted insertion
-    /// has actually been used, so a runtime that never partitions keeps
-    /// the exact pre-partitioning delegation behavior (idle workers park
-    /// as DTLock waiters and get served — the fig10 serve pattern).
-    targeted_ever: core::sync::atomic::AtomicBool,
 }
 
 unsafe impl Send for SyncScheduler {}
@@ -170,7 +167,6 @@ impl SyncScheduler {
                 .collect(),
             counters: SchedCounters::detached(workers.max(1), nodes),
             global_len: core::sync::atomic::AtomicUsize::new(0),
-            targeted_ever: core::sync::atomic::AtomicBool::new(false),
         }
     }
 
@@ -393,8 +389,6 @@ impl Scheduler for SyncScheduler {
         // global DTLock path.
         let node = node.min(self.nodeqs.len() - 1);
         let nq = &self.nodeqs[node];
-        self.targeted_ever
-            .store(true, core::sync::atomic::Ordering::Relaxed);
         self.counters
             .node_targeted(worker, node, tasks.len() as u64);
         nq.lock.lock();
@@ -427,17 +421,11 @@ impl Scheduler for SyncScheduler {
         if let Some(t) = self.pop_node(home, worker) {
             return Some(t);
         }
-        if self
-            .targeted_ever
-            .load(core::sync::atomic::Ordering::Relaxed)
-            && self.global_len.load(core::sync::atomic::Ordering::Relaxed) == 0
-        {
-            // Partitioned mode has been used and the global path is
-            // empty: skip the whole DTLock round and sweep the other
-            // partition queues instead. During partitioned replay this
-            // is the steady state — the DTLock goes quiet. Runtimes that
-            // never target a node never take this branch, keeping the
-            // pre-partitioning delegation behavior untouched.
+        if self.global_len.load(core::sync::atomic::Ordering::Relaxed) == 0 {
+            // The global path is empty: skip the whole DTLock round and
+            // sweep the other partition queues instead. Idle workers
+            // would otherwise take the lock only to find nothing; during
+            // partitioned replay this is the steady state.
             return self.steal_node(home, worker);
         }
         let got = match self.lock.lock_or_delegate(worker) {
@@ -716,6 +704,69 @@ mod tests {
             rest += 1;
         }
         assert_eq!((rest, s.approx_len()), (5, 0));
+    }
+
+    /// Both serve paths, with and without a pop cache.
+    fn all_variants(workers: usize) -> [SyncScheduler; 4] {
+        [
+            SyncScheduler::new(workers, 1, Policy::Fifo, 8),
+            SyncScheduler::new_flat(workers, 1, Policy::Fifo, 8),
+            SyncScheduler::new(workers, 1, Policy::Fifo, 8).with_pop_cache(4),
+            SyncScheduler::new_flat(workers, 1, Policy::Fifo, 8).with_pop_cache(4),
+        ]
+    }
+
+    #[test]
+    fn empty_scheduler_polls_never_take_the_lock() {
+        for s in all_variants(2) {
+            let flat = s.is_flat();
+            for i in 0..1_000 {
+                assert_eq!(s.get_ready(i % 2, None), None);
+            }
+            assert_eq!(s.op_stats().lock_acquisitions, 0, "flat={flat}");
+            // A task added afterwards is still returned, through one
+            // DTLock round.
+            s.add_ready(fake(7), 0, None);
+            assert_eq!(s.get_ready(1, None), Some(fake(7)), "flat={flat}");
+            assert_eq!(s.op_stats().lock_acquisitions, 1, "flat={flat}");
+            // Empty again: polling is back to lock-free.
+            for i in 0..1_000 {
+                assert_eq!(s.get_ready(i % 2, None), None);
+            }
+            assert_eq!(s.op_stats().lock_acquisitions, 1, "flat={flat}");
+        }
+    }
+
+    #[test]
+    fn bypass_leaves_cached_and_batched_tasks_reachable() {
+        for s in all_variants(2) {
+            let flat = s.is_flat();
+            let cache = s.pop_cache;
+            s.add_ready_batch(&[fake(1), fake(2), fake(3)], 0, None);
+            assert_eq!(
+                s.get_ready(0, None),
+                Some(fake(1)),
+                "flat={flat} cache={cache}"
+            );
+            // With a pop cache the first acquisition moved the rest into
+            // worker 0's cache; the global path is empty, so worker 1's
+            // poll takes no lock and worker 0 still gets its tasks.
+            let mut got = vec![];
+            for _ in 0..4 {
+                if let Some(t) = s.get_ready(1, None) {
+                    got.push(t.0 as usize);
+                }
+                if let Some(t) = s.get_ready(0, None) {
+                    got.push(t.0 as usize);
+                }
+            }
+            got.sort();
+            assert_eq!(got, vec![2, 3], "flat={flat} cache={cache}");
+            let ops = s.op_stats();
+            assert_eq!(ops.pops, 3, "flat={flat} cache={cache}");
+            let want = if cache > 0 { 1 } else { 3 };
+            assert_eq!(ops.lock_acquisitions, want, "flat={flat} cache={cache}");
+        }
     }
 
     #[test]

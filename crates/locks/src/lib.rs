@@ -3,18 +3,18 @@
 //! This crate implements every lock discussed in §3 of *Advanced
 //! Synchronization Techniques for Task-based Runtime Systems* (PPoPP '21):
 //!
-//! * [`TicketLock`](ticket::TicketLock) — the classic fair FIFO ticket lock
+//! * [`TicketLock`] — the classic fair FIFO ticket lock
 //!   (Reed & Kanodia), used as the baseline that "has contention problems
 //!   under high-load conditions".
-//! * [`PtLock`](ptlock::PtLock) — the *Partitioned Ticket Lock* (Dice,
+//! * [`PtLock`] — the *Partitioned Ticket Lock* (Dice,
 //!   SPAA '11), Listing 3 of the paper: a ticket lock whose waiters spin on
 //!   a padded circular array so each core busy-waits on a private cache
 //!   line.
-//! * [`McsLock`](mcs::McsLock) — the Mellor-Crummey/Scott queue lock, the
+//! * [`McsLock`] — the Mellor-Crummey/Scott queue lock, the
 //!   classic scalable design PTLock is compared against.
-//! * [`TwaLock`](twa::TwaLock) — *Ticket lock augmented With a waiting
+//! * [`TwaLock`] — *Ticket lock augmented With a waiting
 //!   Array* (Dice & Kogan, Euro-Par '19), the third comparison point.
-//! * [`DtLock`](dtlock::DtLock) — the paper's novel **Delegation Ticket
+//! * [`DtLock`] — the paper's novel **Delegation Ticket
 //!   Lock** (Listing 4): a PTLock extended with a waiter log (`_logq`) and
 //!   a result array (`_readyq`) so the lock owner can *serve* operations on
 //!   behalf of the threads that are still waiting.
@@ -28,7 +28,7 @@
 //! The paper evaluates on 48–256 hardware threads where pure busy-waiting
 //! is fine. This reproduction must also run correctly on heavily
 //! oversubscribed hosts (CI containers with a single core), so every spin
-//! loop uses [`Backoff`](backoff::Backoff): a short burst of
+//! loop uses [`Backoff`]: a short burst of
 //! `core::hint::spin_loop` followed by `std::thread::yield_now`. This
 //! preserves the algorithms' fairness and cache behaviour while remaining
 //! live under oversubscription.

@@ -2027,42 +2027,54 @@ mod tests {
 
     #[test]
     fn partitioned_replay_routes_every_release() {
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(4)
-                .with_numa_nodes(2)
-                .with_replay_partitioning(true),
-        );
-        let data = Box::leak(Box::new(0u64)) as *mut u64;
-        let p = SendPtr::new(data);
-        let report = rt.run_iterative(6, move |ctx| {
-            for _ in 0..10 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
+        // Every replayed release is routed: either kept inline on its own
+        // node by the fast path or inserted into its node's queue.
+        for fast in [false, true] {
+            let rt = Runtime::new(
+                RuntimeConfig::optimized()
+                    .workers(4)
+                    .with_numa_nodes(2)
+                    .with_replay_partitioning(true)
+                    .fast_path(fast),
+            );
+            let data = Box::leak(Box::new(0u64)) as *mut u64;
+            let p = SendPtr::new(data);
+            let report = rt.run_iterative(6, move |ctx| {
+                for _ in 0..10 {
+                    ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
+                        *p.get() += 1;
+                    });
+                }
+            });
+            assert_eq!(unsafe { *data }, 60);
+            assert_eq!(report.replayed, 5);
+            assert_eq!(report.partitions, 2);
+            // Every replayed release was routed: 10 tasks × 5 replays.
+            assert_eq!(report.routed_releases, 50, "fast={fast} {report}");
+            assert_eq!(report.partition_cut_edges, 1, "a split chain cuts once");
+            let rr = rt.run_report();
+            assert_eq!(
+                rr.sched.targeted_tasks + rr.sched.inline_routed,
+                report.routed_releases,
+                "fast={fast}: engine-side and scheduler-side routing counts agree"
+            );
+            let targeted: u64 = rr.node_stats.iter().map(|n| n.targeted_tasks).sum();
+            assert_eq!(targeted, rr.sched.targeted_tasks, "{:?}", rr.node_stats);
+            if !fast {
+                assert_eq!(
+                    rr.sched.inline_routed, 0,
+                    "no inline routing with the fast path off"
+                );
+                assert!(
+                    rr.node_stats.iter().all(|n| n.targeted_tasks > 0),
+                    "a split chain feeds both node buffers: {:?}",
+                    rr.node_stats
+                );
             }
-        });
-        assert_eq!(unsafe { *data }, 60);
-        assert_eq!(report.replayed, 5);
-        assert_eq!(report.partitions, 2);
-        // Every replayed release was routed: 10 tasks × 5 replays.
-        assert_eq!(report.routed_releases, 50, "{report}");
-        assert_eq!(report.partition_cut_edges, 1, "a split chain cuts once");
-        let rr = rt.run_report();
-        assert_eq!(
-            rr.sched.targeted_tasks, report.routed_releases,
-            "engine-side and scheduler-side routing counts agree"
-        );
-        let targeted: u64 = rr.node_stats.iter().map(|n| n.targeted_tasks).sum();
-        assert_eq!(targeted, 50, "{:?}", rr.node_stats);
-        assert!(
-            rr.node_stats.iter().all(|n| n.targeted_tasks > 0),
-            "a split chain feeds both node buffers: {:?}",
-            rr.node_stats
-        );
-        report.assert_classification();
-        assert_eq!(rt.live_tasks(), 0);
-        unsafe { drop(Box::from_raw(data)) };
+            report.assert_classification();
+            assert_eq!(rt.live_tasks(), 0);
+            unsafe { drop(Box::from_raw(data)) };
+        }
     }
 
     #[test]

@@ -182,7 +182,7 @@ impl GraphRecorder {
     }
 
     /// Structural hash of a captured spawn sequence: the per-spawn
-    /// [`spawn_sig_hash`]es chained in creation order. Two iterations
+    /// `spawn_sig_hash`es chained in creation order. Two iterations
     /// with equal hashes spawn the same graph shape over the same
     /// addresses — the replay engine's divergence check.
     pub fn structural_hash(captured: &[CapturedSpawn]) -> u64 {

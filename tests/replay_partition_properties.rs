@@ -158,10 +158,28 @@ fn check_partitioned(
     iters: usize,
     partitioned: bool,
 ) -> (nanotask::ReplayReport, nanotask::RunReport) {
+    check_partitioned_cfg(
+        p,
+        sched,
+        deps,
+        iters,
+        partitioned,
+        RuntimeConfig::optimized(),
+    )
+}
+
+/// [`check_partitioned`] on top of an explicit base configuration.
+fn check_partitioned_cfg(
+    p: &Program,
+    sched: SchedKind,
+    deps: DepsKind,
+    iters: usize,
+    partitioned: bool,
+    base: RuntimeConfig,
+) -> (nanotask::ReplayReport, nanotask::RunReport) {
     let want = serial(p, iters);
     let rt = Runtime::new(
-        RuntimeConfig::optimized()
-            .scheduler(sched)
+        base.scheduler(sched)
             .dependency_system(deps)
             .workers(4)
             .with_numa_nodes(2)
@@ -272,32 +290,40 @@ proptest! {
     /// Partitioning must change *placement only*: the engine's
     /// classification counters are identical with the knob on and off,
     /// the off-run never touches the node-targeted scheduler path, and
-    /// the on-run routes every replayed release.
+    /// the on-run routes every replayed release — into a node queue, or
+    /// inline on its own node when the fast path is on.
     #[test]
     fn partitioning_off_is_pr3_behavior(p in program_strategy()) {
-        let (on, on_rr) = check_partitioned(&p, SchedKind::Delegation, DepsKind::WaitFree, 6, true);
-        let (off, off_rr) = check_partitioned(&p, SchedKind::Delegation, DepsKind::WaitFree, 6, false);
-        // Same classification, shape and cache behavior.
-        prop_assert_eq!(off.iterations, on.iterations);
-        prop_assert_eq!(off.replayed, on.replayed);
-        prop_assert_eq!(off.rerecords, on.rerecords);
-        prop_assert_eq!(off.diverged, on.diverged);
-        prop_assert_eq!(off.cache_hits, on.cache_hits);
-        prop_assert_eq!(off.cache_misses, on.cache_misses);
-        prop_assert_eq!(off.tasks, on.tasks);
-        prop_assert_eq!(off.edges, on.edges);
-        // Off: no partition info, no targeted scheduler traffic.
-        prop_assert_eq!(off.partitions, 0);
-        prop_assert_eq!(off.routed_releases, 0);
-        prop_assert_eq!(off_rr.sched.targeted_batch_adds, 0);
-        prop_assert_eq!(off_rr.sched.targeted_tasks, 0);
-        // On: every replayed release routed, scheduler agrees.
-        prop_assert_eq!(on.partitions, 2);
-        let expected = (on.tasks * on.replayed) as u64;
-        prop_assert_eq!(on.routed_releases, expected, "all replay releases routed");
-        prop_assert_eq!(on_rr.sched.targeted_tasks, on.routed_releases);
-        let targeted: u64 = on_rr.node_stats.iter().map(|n| n.targeted_tasks).sum();
-        prop_assert_eq!(targeted, on.routed_releases, "per-node counters agree");
+        for fast in [false, true] {
+            let base = RuntimeConfig::optimized().fast_path(fast);
+            let (on, on_rr) = check_partitioned_cfg(&p, SchedKind::Delegation, DepsKind::WaitFree, 6, true, base.clone());
+            let (off, off_rr) = check_partitioned_cfg(&p, SchedKind::Delegation, DepsKind::WaitFree, 6, false, base);
+            // Same classification, shape and cache behavior.
+            prop_assert_eq!(off.iterations, on.iterations);
+            prop_assert_eq!(off.replayed, on.replayed);
+            prop_assert_eq!(off.rerecords, on.rerecords);
+            prop_assert_eq!(off.diverged, on.diverged);
+            prop_assert_eq!(off.cache_hits, on.cache_hits);
+            prop_assert_eq!(off.cache_misses, on.cache_misses);
+            prop_assert_eq!(off.tasks, on.tasks);
+            prop_assert_eq!(off.edges, on.edges);
+            // Off: no partition info, no targeted scheduler traffic.
+            prop_assert_eq!(off.partitions, 0);
+            prop_assert_eq!(off.routed_releases, 0);
+            prop_assert_eq!(off_rr.sched.targeted_batch_adds, 0);
+            prop_assert_eq!(off_rr.sched.targeted_tasks, 0);
+            prop_assert_eq!(off_rr.sched.inline_routed, 0);
+            // On: every replayed release routed, scheduler agrees.
+            prop_assert_eq!(on.partitions, 2);
+            let expected = (on.tasks * on.replayed) as u64;
+            prop_assert_eq!(on.routed_releases, expected, "all replay releases routed");
+            prop_assert_eq!(on_rr.sched.targeted_tasks + on_rr.sched.inline_routed, on.routed_releases);
+            if !fast {
+                prop_assert_eq!(on_rr.sched.inline_routed, 0);
+            }
+            let targeted: u64 = on_rr.node_stats.iter().map(|n| n.targeted_tasks).sum();
+            prop_assert_eq!(targeted, on_rr.sched.targeted_tasks, "per-node counters agree");
+        }
     }
 }
 
